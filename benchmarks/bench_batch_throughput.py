@@ -40,9 +40,7 @@ ROUNDS = 5
 MIN_BEST_SPEEDUP = 1.3
 TARGET_SPEEDUP = 1.5
 #: Hard floor for the columnar engine's batched throughput over the scalar
-#: MRIO batched path at the same batch size.  Only armed on hosts with numpy
-#: (without it the engine runs its scalar fallback, which is a correctness
-#: artifact, not a fast path).
+#: MRIO batched path at the same batch size.
 COLUMNAR_MIN_SPEEDUP = 3.0
 
 CORPUS = CorpusConfig(vocabulary_size=8_000, mean_tokens=110.0, seed=42)
@@ -149,10 +147,7 @@ def test_batch_throughput_columnar(benchmark, report):
 
     Rounds are interleaved across engines (scalar, columnar, scalar, ...)
     so frequency drift hits both equally; the minimum per cell is reported.
-    The >= 3x floor is only asserted when numpy is present — the scalar
-    fallback probe exists for correctness parity, not speed.
     """
-    from repro.index.columnar import HAVE_NUMPY
 
     def measure():
         scalar_times = {batch_size: [] for batch_size in BATCH_SIZES}
@@ -173,8 +168,7 @@ def test_batch_throughput_columnar(benchmark, report):
     lines = [
         f"[columnar throughput] columnar vs mrio (batched), {NUM_QUERIES} "
         f"queries, lambda={LAM}, {MEASURED_EVENTS} events after "
-        f"{WARMUP_EVENTS} warm-up (min of {ROUNDS} interleaved rounds, "
-        f"numpy={'yes' if HAVE_NUMPY else 'no'})",
+        f"{WARMUP_EVENTS} warm-up (min of {ROUNDS} interleaved rounds)",
     ]
     speedups = {}
     for batch_size in BATCH_SIZES:
@@ -188,15 +182,14 @@ def test_batch_throughput_columnar(benchmark, report):
     best = max(speedup for batch_size, speedup in speedups.items() if batch_size >= 64)
     lines.append(
         f"  best columnar speedup at batch >= 64: {best:.2f}x "
-        f"(floor {COLUMNAR_MIN_SPEEDUP:.1f}x, armed with numpy only)"
+        f"(floor {COLUMNAR_MIN_SPEEDUP:.1f}x)"
     )
     report("columnar_throughput", "\n".join(lines))
 
-    if HAVE_NUMPY:
-        assert best >= COLUMNAR_MIN_SPEEDUP, (
-            f"columnar engine only reached {best:.2f}x over batched scalar "
-            f"MRIO at batch >= 64"
-        )
+    assert best >= COLUMNAR_MIN_SPEEDUP, (
+        f"columnar engine only reached {best:.2f}x over batched scalar "
+        f"MRIO at batch >= 64"
+    )
 
 
 @pytest.mark.benchmark(group="batch-throughput")

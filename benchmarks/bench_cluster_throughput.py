@@ -4,8 +4,9 @@ Measures batched ingestion events/sec of the sharded runtime when each
 shard lives in a socket-served *shard-host* process, against the framed
 in-box transport it generalizes:
 
-* ``processes-pipe`` — the in-box baseline: the same codec frames, but
-  over each worker's pipe.  Everything the remote cells pay on top of
+* ``processes[pipe]`` — the in-box baseline,
+  ``ProcessShardExecutor(n, transport="pipe")``: the same codec frames,
+  but over each worker's pipe.  Everything the remote cells pay on top of
   this is the price of TCP + the cluster duties.
 * ``remote r=0`` — pure remote execution: no WAL, no standbys.  The
   loopback-socket tax itself.
@@ -25,8 +26,8 @@ cell's best (min) round.  The asserted overhead ratio is measured
 batch-for-batch in a single loop — which cancels host drift and makes the
 bar assertable on every host, including a 1-core container:
 
-**remote r=0 must stay within ``MAX_REMOTE_OVERHEAD``x of processes-pipe
-on loopback** (both executors run one process per shard; only the
+**remote r=0 must stay within ``MAX_REMOTE_OVERHEAD``x of the pipe
+baseline on loopback** (both executors run one process per shard; only the
 transport differs).
 
 ``REPRO_BENCH_PROFILE=tiny`` for a fast smoke run.
@@ -45,6 +46,7 @@ from repro.core.config import MonitorConfig
 from repro.documents.corpus import CorpusConfig, SyntheticCorpus
 from repro.documents.stream import DocumentStream, StreamConfig
 from repro.queries.workloads import UniformWorkload, WorkloadConfig
+from repro.runtime.procpool import ProcessShardExecutor
 from repro.runtime.sharded import ShardedMonitor
 
 TINY = os.environ.get("REPRO_BENCH_PROFILE", "small") == "tiny"
@@ -59,16 +61,24 @@ LAM = 1e-4
 K = 10
 POLICY = "affinity"
 
-#: remote r=0 vs processes-pipe, paired: the loopback socket may cost at
+#: remote r=0 vs the pipe baseline, paired: the loopback socket may cost at
 #: most this factor (the acceptance bar for the transport itself).
 MAX_REMOTE_OVERHEAD = 1.5
 
 CORPUS = CorpusConfig(vocabulary_size=8_000, mean_tokens=110.0, seed=42)
 MONITOR = MonitorConfig(algorithm="mrio", lam=LAM, ub_variant="tree")
 
+#: Row label of the in-box baseline (the pipe transport, forced by instance).
+PIPE = "processes[pipe]"
+
+
+def _pipe_executor():
+    return ProcessShardExecutor(N_SHARDS, transport="pipe")
+
+
 #: label -> executor factory (a fresh executor per build; they own fleets).
 CELLS = (
-    ("processes-pipe", lambda: "processes-pipe"),
+    (PIPE, _pipe_executor),
     ("remote r=0", lambda: RemoteShardExecutor(N_SHARDS, replicas=0)),
     (
         "remote r=1",
@@ -136,8 +146,8 @@ def _measure_grid():
 
 
 def _measure_paired_overhead():
-    """processes-pipe vs remote r=0, alternating batch-for-batch."""
-    baseline, stream = _build(lambda: "processes-pipe")
+    """The pipe baseline vs remote r=0, alternating batch-for-batch."""
+    baseline, stream = _build(_pipe_executor)
     candidate, _ = _build(lambda: RemoteShardExecutor(N_SHARDS, replicas=0))
     base_total = 0.0
     cand_total = 0.0
@@ -192,7 +202,7 @@ def test_cluster_throughput(benchmark, report):
         f"{MEASURED_EVENTS} events after {WARMUP_EVENTS} warm-up "
         f"(min of {ROUNDS} interleaved rounds)",
     ]
-    base = best["processes-pipe"]
+    base = best[PIPE]
     for label, _ in CELLS:
         elapsed = best[label]
         rate = MEASURED_EVENTS / elapsed
@@ -203,7 +213,7 @@ def test_cluster_throughput(benchmark, report):
             f"{_wire_suffix(wires[label])}{lag_suffix}"
         )
     lines.append(
-        f"  paired overhead (remote r=0 / processes-pipe, "
+        f"  paired overhead (remote r=0 / {PIPE}, "
         f"{PAIRED_BATCHES} alternating batches): {paired_overhead:.3f}x "
         f"(bar: <= {MAX_REMOTE_OVERHEAD}x)"
     )

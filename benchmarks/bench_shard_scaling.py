@@ -2,22 +2,19 @@
 
 Measures batched ingestion throughput when the registered query set is
 partitioned across N engine shards, for both engines (scalar MRIO and the
-columnar batch engine) and all executor flavours:
+columnar batch engine) and both in-box executors:
 
 * ``serial`` isolates the *partitioning overhead*: every shard runs on the
   calling thread, so N shards do at least the single-engine work plus one
   pivot walk per extra shard — the deficit vs 1 shard is the price of the
   split, which the term-affinity policy is designed to shrink.
-* ``threads`` adds thread-pool parallelism on top.  Wall-clock speedup > 1
-  requires a multi-core *free-threaded* build (or GIL-releasing scoring
-  kernels): on stock CPython the GIL serializes the pure-Python pivot
-  loops and thread shards cannot beat one engine.
 * ``processes`` hosts each shard in its own worker process behind the
   zero-copy batch transport: each batch is codec-encoded **once** into a
   shared-memory ring and workers read it in place, so the bytes crossing
   the pipes are tiny control descriptors plus the coalesced replies.
-* ``processes-pipe`` forces the framed-pipe fallback (the same codec
-  frame crosses every worker's pipe) — the cell that prices the transport
+* the ``processes[pipe]`` rows force the pipe transport with an executor
+  instance, ``ProcessShardExecutor(n, transport="pipe")`` (the same codec
+  frame crosses every worker's pipe) — the cells that price the transport
   itself, and the baseline for the payload-drop assertion.
 
 Every process cell reports its wire traffic in bytes per event, split
@@ -39,8 +36,8 @@ Two methodologies, matched to what each number is for:
 
 Assertions: the paired 1-shard ratio (process executor >= 0.9x of the
 single engine) and the pipe-payload collapse are armed on **all** hosts;
-the parallel-speedup targets additionally need real cores (and, for
-threads, a no-GIL build) and degrade to report-only below that.
+the parallel-speedup targets additionally need real cores and degrade to
+report-only below that.
 """
 
 from __future__ import annotations
@@ -56,6 +53,7 @@ from repro.core.config import MonitorConfig
 from repro.documents.corpus import CorpusConfig, SyntheticCorpus
 from repro.documents.stream import DocumentStream, StreamConfig
 from repro.queries.workloads import UniformWorkload, WorkloadConfig
+from repro.runtime.procpool import ProcessShardExecutor
 from repro.runtime.sharded import ShardedMonitor
 
 NUM_QUERIES = 1000
@@ -69,18 +67,19 @@ ROUNDS = 3
 #: Paired 1-shard tax measurement: batches alternated serial/process.
 PAIRED_BATCHES = 8
 
-#: (engine, executor, shard counts) cells of the scaling grid.
+#: Row label of the cells that force the pipe transport (by instance — see
+#: ``_executor``; it is not an executor name).
+PIPE = "processes[pipe]"
+
+#: (engine, executor row, shard counts) cells of the scaling grid.
 GRID = (
     ("mrio", "serial", (1, 2, 4, 8)),
-    ("mrio", "threads", (1, 2, 4, 8)),
     ("mrio", "processes", (1, 2, 4, 8)),
-    ("mrio", "processes-pipe", (1, 4)),
+    ("mrio", PIPE, (1, 4)),
     ("columnar", "serial", (1, 2, 4)),
     ("columnar", "processes", (1, 2, 4)),
 )
 
-#: Thread shards need a no-GIL multicore build to hit this.
-TARGET_SPEEDUP = 1.5
 #: Process shards on real cores: >= 2x events/sec over the single-engine
 #: serial baseline at 4 shards.
 PROC_TARGET_SPEEDUP = 2.0
@@ -115,6 +114,13 @@ def _monitor_config(engine: str) -> MonitorConfig:
     return MonitorConfig(algorithm="mrio", lam=LAM, ub_variant="tree")
 
 
+def _executor(row: str, n_shards: int):
+    """A grid row's executor: a name, or the forced-pipe instance."""
+    if row == PIPE:
+        return ProcessShardExecutor(n_shards, transport="pipe")
+    return row
+
+
 def _build(engine: str, n_shards: int, executor: str):
     corpus = SyntheticCorpus(CORPUS, seed=42)
     queries = UniformWorkload(
@@ -126,7 +132,7 @@ def _build(engine: str, n_shards: int, executor: str):
         _monitor_config(engine),
         n_shards=n_shards,
         policy=POLICY,
-        executor=executor,
+        executor=_executor(executor, n_shards),
     )
     monitor.register_queries(queries)
     stream = DocumentStream(corpus, StreamConfig(seed=244))
@@ -227,7 +233,7 @@ def test_shard_scaling(benchmark, report):
         grid, wires, transports = _measure_grid()
         paired = {
             "processes": _measure_paired_1shard("mrio", "processes"),
-            "processes-pipe": _measure_paired_1shard("mrio", "processes-pipe"),
+            PIPE: _measure_paired_1shard("mrio", PIPE),
         }
         return grid, wires, transports, paired
 
@@ -237,7 +243,6 @@ def test_shard_scaling(benchmark, report):
 
     cores = _usable_cores()
     gil = _gil_enabled()
-    threads_capable = cores >= MIN_CORES_FOR_ASSERT and not gil
     procs_capable = cores >= MIN_CORES_FOR_ASSERT
     multicore = cores > 1
     lines = [
@@ -247,20 +252,17 @@ def test_shard_scaling(benchmark, report):
         f"  environment: {cores} usable core(s), GIL {'on' if gil else 'off'}, "
         f"CPython {sys.version_info.major}.{sys.version_info.minor}",
     ]
-    speedups = {}
     singles = {}
     for engine, executor, shard_counts in GRID:
         single_engine = best[(engine, "serial", 1)]
         singles[engine] = single_engine
-        base = best[(engine, executor, shard_counts[0])]
         for n_shards in shard_counts:
             key = (engine, executor, n_shards)
             elapsed = best[key]
             rate = MEASURED_EVENTS / elapsed
-            speedups[key] = base / elapsed
             vs_single = single_engine / elapsed
             lines.append(
-                f"  {engine:<8s} {executor:<14s} shards={n_shards:<2d} "
+                f"  {engine:<8s} {executor:<15s} shards={n_shards:<2d} "
                 f"{rate:9.0f} events/sec   {vs_single:5.2f}x vs single engine"
                 f"{_wire_suffix(wires.get(key))}"
             )
@@ -269,12 +271,12 @@ def test_shard_scaling(benchmark, report):
     lines.append(
         f"  paired 1-shard process tax (mrio, {PAIRED_BATCHES} alternated "
         f"batches): processes[{shm_transport}] {paired['processes']:.2f}x, "
-        f"processes-pipe {paired['processes-pipe']:.2f}x of the single engine "
+        f"{PIPE} {paired[PIPE]:.2f}x of the single engine "
         f"(floor {PROC_MIN_1SHARD_RATIO:.1f}x: ASSERTED on every host)"
     )
 
     shm_wire = wires.get(("mrio", "processes", 1))
-    pipe_wire = wires.get(("mrio", "processes-pipe", 1))
+    pipe_wire = wires.get(("mrio", PIPE, 1))
     if shm_wire and pipe_wire and shm_transport == "shm":
         lines.append(
             f"  payload over pipes at batch {BATCH}: "
@@ -283,15 +285,7 @@ def test_shard_scaling(benchmark, report):
             f">= {PAYLOAD_DROP_FACTOR:.0f}x drop ASSERTED"
         )
 
-    threads_at_4 = speedups[("mrio", "threads", 4)]
     procs_at_4_vs_single = singles["mrio"] / best[("mrio", "processes", 4)]
-    if threads_capable:
-        threads_verdict = f"target >= {TARGET_SPEEDUP:.1f}x at 4 thread-shards: ASSERTED"
-    else:
-        threads_verdict = (
-            f"target >= {TARGET_SPEEDUP:.1f}x at 4 thread-shards requires >= "
-            f"{MIN_CORES_FOR_ASSERT} cores without a GIL; report-only on this host"
-        )
     if procs_capable:
         procs_verdict = (
             f"target >= {PROC_TARGET_SPEEDUP:.1f}x vs single engine at 4 "
@@ -308,18 +302,12 @@ def test_shard_scaling(benchmark, report):
             "paired 1-shard tax above is the armed number here"
         )
     lines.append(
-        f"  threads   speedup at 4 shards: {threads_at_4:.2f}x ({threads_verdict})"
-    )
-    lines.append(
         f"  processes speedup at 4 shards vs single engine: "
         f"{procs_at_4_vs_single:.2f}x ({procs_verdict})"
     )
     report("shard_scaling", "\n".join(lines))
 
     # ---- armed on every host ---------------------------------------- #
-    # The sharded runtime at 1 shard is the single engine plus a facade;
-    # the threads executor must stay within 25% of running it serially.
-    assert best[("mrio", "threads", 1)] <= best[("mrio", "serial", 1)] * 1.25
     # The zero-copy transport's whole tax at 1 shard: codec + IPC +
     # scheduling must fit in 10% of the engine's own time (paired ratio,
     # immune to host drift).
@@ -339,11 +327,6 @@ def test_shard_scaling(benchmark, report):
         )
 
     # ---- armed with real cores --------------------------------------- #
-    if threads_capable:
-        assert threads_at_4 >= TARGET_SPEEDUP, (
-            f"thread-sharding only reached {threads_at_4:.2f}x at 4 shards "
-            f"on a {cores}-core no-GIL host"
-        )
     if multicore:
         # CI smoke floor: with any hardware parallelism at all, process
         # shards must not lose to running the same shard count serially.
@@ -366,9 +349,9 @@ def test_sharded_equivalence_on_bench_workload(benchmark, report):
     def check():
         reference, ref_stream = _build("mrio", 1, "serial")
         candidates = [
-            _build("mrio", 4, "threads")[0],
+            _build("mrio", 4, "serial")[0],
             _build("mrio", 2, "processes")[0],
-            _build("mrio", 2, "processes-pipe")[0],
+            _build("mrio", 2, PIPE)[0],
         ]
         # All streams are identically seeded and equally advanced by the
         # warm-up, so the reference's next batch is valid for every monitor.

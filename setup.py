@@ -27,4 +27,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
+    install_requires=["numpy"],
 )

@@ -87,8 +87,8 @@ class ExperimentSpec:
     #: Number of engine shards per cell.  1 runs the plain single-engine
     #: path; > 1 hosts each cell behind a ShardedMonitor.
     shards: int = 1
-    #: Shard executor (``"serial"``/``"threads"``/``"processes"``/
-    #: ``"processes-pipe"``); only used when ``shards > 1``.
+    #: Shard executor (``"serial"``/``"processes"``); only used when
+    #: ``shards > 1``.
     shard_executor: str = "serial"
     #: Partitioning policy (``"hash"``/``"affinity"``) for sharded cells.
     shard_policy: str = "hash"
@@ -130,10 +130,10 @@ class ExperimentSpec:
             )
         if self.shards <= 0:
             raise BenchmarkError(f"experiment {self.name}: shards must be > 0")
-        if self.shard_executor not in ("serial", "threads", "processes", "processes-pipe"):
+        if self.shard_executor not in ("serial", "processes"):
             raise BenchmarkError(
-                f"experiment {self.name}: shard_executor must be 'serial', "
-                "'threads', 'processes' or 'processes-pipe'"
+                f"experiment {self.name}: shard_executor must be 'serial' "
+                "or 'processes'"
             )
         if self.shard_policy not in ("hash", "affinity"):
             raise BenchmarkError(

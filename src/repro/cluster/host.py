@@ -2,8 +2,8 @@
 
 A shard host is the cluster-process twin of :func:`repro.runtime.procpool
 ._shard_worker_main`: it owns one :class:`~repro.runtime.shard.EngineShard`
-and answers the identical command surface — same ``{"c": command, "a": args}``
-request frames, same ``{"s", "v", "e"}`` replies — but listens on a TCP
+and serves it with the same routine (:class:`repro.runtime.protocol
+.ShardServer` — one command table, one frame format) — but listens on a TCP
 socket (so the router can live on another box) and adds the durability and
 replication duties a cluster member has:
 
@@ -45,40 +45,21 @@ import socket
 import threading
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MonitorConfig
 from repro.exceptions import WorkerError
 from repro.persistence import codec
-from repro.persistence.replication import KIND_ADOPT, ReplicaApplier
+from repro.persistence.replication import ReplicaApplier
 from repro.persistence.wal import WriteAheadLog
 from repro.cluster.replication import ReplicationSender
 from repro.cluster.transport import DEFAULT_MAX_FRAME_BYTES, FrameSocket
-from repro.runtime.procpool import (
-    _SHARD_METHODS,
-    _SHARD_PROPERTIES,
-    _decode_batch_payload,
-)
+from repro.runtime.protocol import WAL_COMMANDS, ShardCommand, ShardServer
 from repro.runtime.shard import EngineShard
-
-_OK = "ok"
-_ERR = "err"
 
 #: Connection roles (the first frame of every connection names one).
 ROLE_CONTROL = "ctl"
 ROLE_WAL = "wal"
-
-#: Commands that change shard state and are therefore journaled/replicated.
-MUTATING_COMMANDS = (
-    "process",
-    "process_batch",
-    "batch_commit",
-    "register",
-    "unregister",
-    "renormalize",
-    "adopt_encoded",
-    "restore_encoded",
-)
 
 #: Fault-injection windows understood by ``fail_next``.
 CRASH_MODES = ("before_journal", "after_replicate")
@@ -137,6 +118,12 @@ class ShardHost:
         self._crash_next: Optional[str] = None
         self._running = True
         self._listener: Optional[socket.socket] = None
+        self._server = ShardServer(
+            self._shard,
+            f"shard host {shard_id}",
+            self._cluster_commands(),
+            apply_mutation=self._apply_mutation,
+        )
 
     # ------------------------------------------------------------------ #
     # Serving
@@ -224,142 +211,64 @@ class ShardHost:
     # ------------------------------------------------------------------ #
 
     def _serve_control(self, frame_socket: FrameSocket) -> None:
+        """The shared protocol routine over a socket, one request at a time;
+        only the execute half runs under the host lock."""
         while self._running:
             try:
                 request = frame_socket.recv_bytes()
             except (EOFError, OSError):
                 return
-            status = _OK
-            value: object = None
-            extra: Dict[str, object] = {}
-            raw: List[object] = []
-            renorms: List[Tuple[float, float]] = []
-            command = "?"
-            try:
-                header, tail = codec.unpack_frame(request)
-                command = header["c"]
-                with self._lock:
-                    value, extra = self._execute(command, header, tail)
-                    raw = self._shard.drain_raw_updates()
-                    renorms = self._shard.drain_renormalizations()
-            except Exception as exc:  # noqa: BLE001 - every error crosses back
-                status, value = _ERR, exc
-            fallback = WorkerError(
-                f"shard host {self.shard_id}: reply to {command!r} could not "
-                "be encoded"
-            )
-            sent = False
-            for reply_status, reply_value in ((status, value), (_ERR, fallback)):
-                tail_writer = codec.TailWriter()
-                try:
-                    events: Dict[str, object] = {}
-                    if raw:
-                        events["r"] = codec.encode_value(raw, tail_writer)
-                    if renorms:
-                        events["n"] = [[origin, factor] for origin, factor in renorms]
-                    reply_header: Dict[str, object] = {
-                        "s": reply_status,
-                        "v": codec.encode_value(reply_value, tail_writer),
-                        "e": events,
-                    }
-                    reply_header.update(extra)
-                    reply = codec.pack_frame(reply_header, tail_writer.take())
-                    frame_socket.send_bytes(reply)
-                    sent = True
-                    break
-                except Exception:  # noqa: BLE001 - try the fallback reply
-                    continue
-            if not sent:
+            with self._lock:
+                outcome = self._server.execute(request)
+            if not self._server.reply(outcome, frame_socket.send_bytes):
                 return
-            if command == "shutdown":
+            if outcome.command == "shutdown":
                 self._shutdown()
                 return
 
-    def _execute(
-        self, command: str, header: Dict[str, object], tail
-    ) -> Tuple[object, Dict[str, object]]:
-        """Run one command under the host lock; returns (value, reply extras)."""
-        shard = self._shard
-        if command == "ping":
-            return os.getpid(), {}
-        if command == "shutdown":
-            return None, {}
-        if command == "set_capture_raw":
-            shard.capture_raw = bool(header["a"][0])  # type: ignore[index]
-            return None, {}
-        if command == "queries":
-            return dict(shard.queries), {}
-        if command == "counters":
-            return shard.counters.snapshot(), {}
-        if command == "telemetry":
-            return shard.telemetry_snapshot(), {}
-        if command == "response_times":
-            return list(shard.response_times), {}
-        if command == "promote":
-            return self._promote(), {}
-        if command == "repl_start":
-            args = self._decode_args(header, tail)
-            return self._repl_start(*args), {}
-        if command == "repl_status":
-            return self._repl_status(), {}
-        if command == "applied_lsn":
-            return (self._applier.applied_lsn if self._applier else 0), {}
-        if command == "redo_result":
-            args = self._decode_args(header, tail)
-            return self._redo_result(int(args[0])), {}
-        if command == "fail_next":
-            args = self._decode_args(header, tail)
-            if args[0] not in CRASH_MODES:
-                raise WorkerError(
-                    f"unknown crash mode {args[0]!r}; expected one of {CRASH_MODES}"
-                )
-            self._crash_next = args[0]
-            return None, {}
-        if command.startswith("wal_"):
+    def _cluster_commands(self) -> Dict[str, Callable[..., object]]:
+        """This role's protocol extensions (run under the host lock)."""
+
+        def refuse_wal(*args: object) -> None:
             raise WorkerError(
-                f"shard host {self.shard_id}: {command!r} is not served — a "
-                "cluster host owns its WAL (DurableMonitor journaling does "
+                f"shard host {self.shard_id}: wal_* commands are not served — "
+                "a cluster host owns its WAL (DurableMonitor journaling does "
                 "not compose with executor='remote')"
             )
-        if command == "batch_commit":
-            documents = _decode_batch_payload(header, tail, None)
-            self._mutation_guard()
-            value = shard.process_batch(documents)
-            extra = self._journal_mutation("batch_commit", (), documents)
-            self._record_result(extra, value)
-            self._wait_replication(extra)
-            return value, extra
-        if command in _SHARD_METHODS:
-            args = self._decode_args(header, tail)
-            if command not in MUTATING_COMMANDS:
-                return getattr(shard, command)(*args), {}
-            self._mutation_guard()
-            value = getattr(shard, command)(*args)
-            extra = self._journal_mutation(command, args, None)
-            self._record_result(extra, value)
-            self._wait_replication(extra)
-            return value, extra
-        if command in _SHARD_PROPERTIES:
-            return getattr(shard, command), {}
-        raise WorkerError(
-            f"shard host {self.shard_id}: unknown command {command!r}"
-        )
 
-    @staticmethod
-    def _decode_args(header: Dict[str, object], tail) -> List[object]:
-        return [codec.decode_value(arg, tail) for arg in header.get("a", ())]
+        commands: Dict[str, Callable[..., object]] = dict.fromkeys(
+            ("wal_open", *WAL_COMMANDS), refuse_wal
+        )
+        commands.update(
+            promote=self._promote,
+            repl_start=self._repl_start,
+            repl_status=self._repl_status,
+            applied_lsn=lambda: self._applier.applied_lsn if self._applier else 0,
+            redo_result=self._redo_result,
+            fail_next=self._fail_next,
+        )
+        return commands
+
+    def _fail_next(self, mode: str) -> None:
+        if mode not in CRASH_MODES:
+            raise WorkerError(
+                f"unknown crash mode {mode!r}; expected one of {CRASH_MODES}"
+            )
+        self._crash_next = mode
 
     # ------------------------------------------------------------------ #
     # Apply-then-journal
     # ------------------------------------------------------------------ #
 
-    def _mutation_guard(self) -> None:
-        """Pre-apply checks: split-brain refusal and fault injection.
+    def _apply_mutation(
+        self, entry: ShardCommand, args: Sequence[object]
+    ) -> Tuple[object, Dict[str, object]]:
+        """Guard, apply, journal, replicate: one mutating command.
 
-        Runs *before* the engine does — the router only ever mutates the
-        primary, so a mutation on a standby must be refused without
-        touching its state, and the ``before_journal`` crash window means
-        "the record exists nowhere, not even in memory".
+        The guard runs *before* the engine does — the router only ever
+        mutates the primary, so a mutation on a standby must be refused
+        without touching its state, and the ``before_journal`` crash window
+        means "the record exists nowhere, not even in memory".
         """
         if not self._primary:
             raise WorkerError(
@@ -368,9 +277,14 @@ class ShardHost:
             )
         if self._crash_next == "before_journal":
             os._exit(137)
+        value = entry.run(self._shard, args)
+        extra = self._journal_mutation(entry, args)
+        self._record_result(extra, value)
+        self._wait_replication(extra)
+        return value, extra
 
     def _journal_mutation(
-        self, command: str, args: Tuple[object, ...], documents
+        self, entry: ShardCommand, args: Sequence[object]
     ) -> Dict[str, object]:
         """Journal one *applied* mutating command and ship it to every sender.
 
@@ -382,21 +296,7 @@ class ShardHost:
             return {}
         telemetry = self._shard.telemetry
         started = perf_counter() if telemetry.enabled else 0.0
-        if command == "process":
-            kind, data = codec.document_record(args[0])
-        elif command == "process_batch":
-            kind, data = codec.batch_record(args[0])
-        elif command == "batch_commit":
-            kind, data = codec.batch_record(documents)
-        elif command == "register":
-            kind, data = codec.register_record(args[0], shard=self.shard_id)
-        elif command == "unregister":
-            kind, data = codec.unregister_record(int(args[0]), shard=self.shard_id)
-        elif command == "renormalize":
-            kind, data = codec.renormalize_record(float(args[0]))
-        else:  # adopt_encoded / restore_encoded
-            op = "restore" if command == "restore_encoded" else "adopt"
-            kind, data = KIND_ADOPT, {"op": op, "state": args[0]}
+        kind, data = entry.record(args, self.shard_id)  # type: ignore[misc]
         lsn = self._wal.last_lsn + 1
         line = codec.pack_line(
             {"v": codec.CODEC_VERSION, "lsn": lsn, "kind": kind, "data": data}

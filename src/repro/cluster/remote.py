@@ -40,21 +40,16 @@ from collections import deque
 from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import MonitorConfig
-from repro.core.results import BatchUpdate
-from repro.documents.document import Document
 from repro.exceptions import ConfigurationError, WorkerError
 from repro.persistence import codec
-from repro.cluster.host import (
-    MUTATING_COMMANDS,
-    ROLE_CONTROL,
-    HostOptions,
-)
+from repro.cluster.host import ROLE_CONTROL, HostOptions
 from repro.cluster.transport import DEFAULT_MAX_FRAME_BYTES, FrameSocket
-from repro.runtime.executors import ShardExecutor, raise_first_failure, run_serially
-from repro.runtime.procpool import ProcessShardHandle, TransportStats
-
-_OK = "ok"
-_ERR = "err"
+from repro.runtime.procpool import (
+    ProcessShardHandle,
+    ResidentShardExecutor,
+    TransportStats,
+)
+from repro.runtime.protocol import COMMANDS, ERR
 
 
 def _shard_host_main(conn, shard_id, config, options, bind_host) -> None:
@@ -186,20 +181,13 @@ class RemoteShardHandle(ProcessShardHandle):
     # Protocol plumbing (replaces the pipe path of the parent class)
     # ------------------------------------------------------------------ #
 
-    def submit(self, command: str, *args: object) -> None:
-        tail = codec.TailWriter()
-        header: Dict[str, object] = {"c": command}
-        if args:
-            header["a"] = [codec.encode_value(arg, tail) for arg in args]
-        frame = codec.pack_frame(header, tail.take())
-        self._stats.control_bytes += len(frame)
-        self.submit_prepacked(command, frame)
-
-    def submit_prepacked(self, command: str, frame: bytes) -> None:
+    def submit_frame(self, command: str, frame: bytes) -> None:
         """Ship one prebuilt frame (byte accounting is the caller's job).
 
-        Send failures are deferred to :meth:`collect` — that is where the
-        failover lives, and it keeps the executor's submit loop non-raising.
+        A mutating command (per the protocol table) takes the partition's
+        next LSN and joins the redo queue.  Send failures are deferred to
+        :meth:`collect` — that is where the failover lives, and it keeps
+        the executor's submit loop non-raising.
         """
         if self._pending is not None:
             raise WorkerError(
@@ -207,7 +195,8 @@ class RemoteShardHandle(ProcessShardHandle):
                 "flight (submit without collect)"
             )
         lsn: Optional[int] = None
-        if self._journaling and command in MUTATING_COMMANDS:
+        entry = COMMANDS.get(command)
+        if self._journaling and entry is not None and entry.mutating:
             lsn = self.wal_lsn + 1
             self._redo.append((lsn, frame))
         self._pending = _Pending(command, frame, lsn)
@@ -215,23 +204,6 @@ class RemoteShardHandle(ProcessShardHandle):
             self._primary_client.socket.send_bytes(frame)
         except Exception as exc:  # noqa: BLE001 - deferred to collect()
             self._send_error = exc
-
-    def send_frame(self, frame: bytes) -> None:
-        raise WorkerError(
-            "RemoteShardHandle routes frames through submit_prepacked()"
-        )  # pragma: no cover - guards against parent-class plumbing leaks
-
-    def process_batch(self, documents: Sequence[Document]) -> List[BatchUpdate]:
-        payload = codec.encode_document_batch(
-            documents if isinstance(documents, list) else list(documents)
-        )
-        frame = codec.pack_frame({"c": "batch_commit"}, payload)
-        self._stats.control_bytes += len(frame) - len(payload)
-        self._stats.payload_pipe_bytes += len(payload)
-        self._stats.batches += 1
-        self._stats.events += len(documents)
-        self.submit_prepacked("batch_commit", frame)
-        return self.collect()  # type: ignore[return-value]
 
     def collect(self) -> object:
         pending, self._pending = self._pending, None
@@ -289,7 +261,7 @@ class RemoteShardHandle(ProcessShardHandle):
             for origin, factor in renorms:
                 for listener in self._renormalize_listeners:
                     listener(origin, factor)
-        if status == _ERR:
+        if status == ERR:
             if isinstance(value, BaseException):
                 raise value
             raise WorkerError(str(value))  # pragma: no cover - defensive
@@ -297,12 +269,7 @@ class RemoteShardHandle(ProcessShardHandle):
 
     def _client_call(self, client: HostClient, command: str, *args: object) -> object:
         """Direct command on a specific host (failover bookkeeping bypass)."""
-        tail = codec.TailWriter()
-        header: Dict[str, object] = {"c": command}
-        if args:
-            header["a"] = [codec.encode_value(arg, tail) for arg in args]
-        frame = codec.pack_frame(header, tail.take())
-        self._stats.control_bytes += len(frame)
+        frame = self._pack(command, args)
         try:
             client.socket.send_bytes(frame)
         except Exception as exc:  # noqa: BLE001
@@ -437,7 +404,7 @@ class RemoteShardHandle(ProcessShardHandle):
         return value
 
 
-class RemoteShardExecutor(ShardExecutor):
+class RemoteShardExecutor(ResidentShardExecutor):
     """Hosts every shard in a socket-served host process (name ``"remote"``).
 
     Topology per partition: one primary plus ``replicas`` hot standbys, all
@@ -461,7 +428,6 @@ class RemoteShardExecutor(ShardExecutor):
     """
 
     name = "remote"
-    shard_resident = True
 
     def __init__(
         self,
@@ -514,14 +480,6 @@ class RemoteShardExecutor(ShardExecutor):
     # ------------------------------------------------------------------ #
     # Host fleet lifecycle
     # ------------------------------------------------------------------ #
-
-    @property
-    def handles(self) -> List[RemoteShardHandle]:
-        if self._handles is None:
-            raise ConfigurationError(
-                "remote executor has no hosts; spawn_shards() was not called"
-            )
-        return list(self._handles)
 
     @property
     def transport_active(self) -> Optional[str]:
@@ -633,14 +591,6 @@ class RemoteShardExecutor(ShardExecutor):
         self._clients.append(client)
         return client
 
-    def resize(self, n_shards: int, config: MonitorConfig) -> List[RemoteShardHandle]:
-        """Replace the host fleet with ``n_shards`` fresh partitions."""
-        if n_shards <= 0:
-            raise ConfigurationError(f"n_shards must be > 0, got {n_shards}")
-        self.close()
-        self.n_shards = n_shards
-        return self.spawn_shards(config)
-
     def close(self) -> None:
         """Shut the whole fleet down (primaries, standbys, promoted hosts)."""
         self._handles = None
@@ -711,59 +661,3 @@ class RemoteShardExecutor(ShardExecutor):
                 )
             ),
         }
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
-
-    def run(self, tasks):
-        """Opaque thunks run on the calling thread (closures cannot cross
-        the wire); the parallel path is :meth:`run_shards`."""
-        return run_serially(tasks)
-
-    def run_shards(
-        self, shards: Sequence[object], method: str, args: Tuple[object, ...]
-    ) -> List[object]:
-        """Pipeline one command to every host, then collect every reply.
-
-        Identical discipline and failure contract to the process executor;
-        the batch fan-out encodes the payload once and writes the same
-        frame to every socket.
-        """
-        if (
-            method == "process_batch"
-            and len(args) == 1
-            and self._handles is not None
-            and len(shards) == len(self._handles)
-            and all(a is b for a, b in zip(shards, self._handles))
-        ):
-            return self._fan_out_batch(args[0])  # type: ignore[arg-type]
-        for shard in shards:
-            shard.submit(method, *args)  # type: ignore[attr-defined]
-        outcomes: List[Tuple[Optional[object], Optional[BaseException]]] = []
-        for shard in shards:
-            try:
-                outcomes.append((shard.collect(), None))  # type: ignore[attr-defined]
-            except Exception as exc:  # noqa: BLE001 - collect-all contract
-                outcomes.append((None, exc))
-        return raise_first_failure(outcomes)
-
-    def _fan_out_batch(self, documents: Sequence[Document]) -> List[List[BatchUpdate]]:
-        handles = self._handles or []
-        docs = documents if isinstance(documents, list) else list(documents)
-        payload = codec.encode_document_batch(docs)
-        frame = codec.pack_frame({"c": "batch_commit"}, payload)
-        control_len = len(frame) - len(payload)
-        self.stats.batches += 1
-        self.stats.events += len(docs)
-        for handle in handles:
-            self.stats.control_bytes += control_len
-            self.stats.payload_pipe_bytes += len(payload)
-            handle.submit_prepacked("batch_commit", frame)
-        outcomes: List[Tuple[Optional[object], Optional[BaseException]]] = []
-        for handle in handles:
-            try:
-                outcomes.append((handle.collect(), None))
-            except Exception as exc:  # noqa: BLE001 - collect-all contract
-                outcomes.append((None, exc))
-        return raise_first_failure(outcomes)  # type: ignore[return-value]

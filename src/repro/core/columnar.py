@@ -40,10 +40,9 @@ anything layout-dependent would diverge between an uninterrupted engine and
 a crash-recovered one.  Chunk boundaries are keyed off the live-query
 count for the same reason.
 
-numpy is optional: without it the engine runs a scalar probe over the same
-packed columns with identical chunking, pruning decisions, accumulation
-order and counters, so results *and* work accounting are independent of
-numpy's presence.
+numpy is a hard dependency of the package (declared in ``setup.py``): this
+probe is the only implementation, and the scalar MRIO engine — not a scalar
+copy of this one — is the oracle it is differentially tested against.
 """
 
 from __future__ import annotations
@@ -55,13 +54,10 @@ from repro.core.registry import register_algorithm
 from repro.core.results import ResultUpdate
 from repro.documents.decay import ExponentialDecay
 from repro.documents.document import Document
-from repro.index.columnar import HAVE_NUMPY, ColumnarQueryIndex
-from repro.queries.query import Query
+import numpy as np
 
-if HAVE_NUMPY:
-    import numpy as np
-else:  # pragma: no cover - numpy ships with the toolchain
-    np = None
+from repro.index.columnar import ColumnarQueryIndex
+from repro.queries.query import Query
 
 #: Upper bound on the dense accumulator size (documents x slots cells) of
 #: one probe chunk; ~16 MiB of float64 at the default.
@@ -132,13 +128,6 @@ class ColumnarAlgorithm(StreamAlgorithm):
         # probe over a single document.
         return self._process_batch_documents([document], [amplification])
 
-    def _process_batch_documents(
-        self, documents: Sequence[Document], amplifications: Sequence[float]
-    ) -> List[ResultUpdate]:
-        if np is not None:
-            return self._probe_vectorized(documents, amplifications)
-        return self._probe_scalar(documents, amplifications)
-
     def _chunk_rows(self) -> int:
         # Keyed off the *live* query count, not the slot-table width:
         # chunk boundaries influence pruning decisions (thresholds are
@@ -146,7 +135,7 @@ class ColumnarAlgorithm(StreamAlgorithm):
         # not depend on how many tombstones the table happens to carry.
         return max(1, self.cell_budget // max(1, self.index.num_live))
 
-    def _probe_vectorized(
+    def _process_batch_documents(
         self, documents: Sequence[Document], amplifications: Sequence[float]
     ) -> List[ResultUpdate]:
         updates: List[ResultUpdate] = []
@@ -292,88 +281,4 @@ class ColumnarAlgorithm(StreamAlgorithm):
                 )
                 if threshold_changed:
                     thresholds[column] = result.threshold
-        return updates
-
-    def _probe_scalar(
-        self, documents: Sequence[Document], amplifications: Sequence[float]
-    ) -> List[ResultUpdate]:
-        """numpy-free probe over the same packed columns.
-
-        Mirrors :meth:`_probe_vectorized` decision for decision — same
-        chunking, same chunk-start threshold sampling, same ascending-term
-        accumulation — so states *and* counters are identical whether or
-        not numpy is installed.
-        """
-        updates: List[ResultUpdate] = []
-        index = self.index
-        counters = self.counters
-        counters.iterations += len(documents)
-        if index.size == 0 or index.num_live == 0:
-            return updates
-        thresholds = index.thresholds_view()
-        slot_qids = index.qids_view()
-        num_live = index.num_live
-        results_get = self.results.get
-        chunk_rows = self._chunk_rows()
-
-        for start in range(0, len(documents), chunk_rows):
-            chunk = documents[start : start + chunk_rows]
-            counters.bound_computations += len(chunk)
-            # The vectorized probe samples thresholds once per chunk (the
-            # mask is computed against a snapshot); freeze them here too so
-            # candidate selection is a bit-identical superset.
-            frozen = list(thresholds)
-            min_threshold = index.min_live_threshold()
-            for offset, document in enumerate(chunk):
-                amplification = amplifications[start + offset]
-                matched = []
-                vector = document.vector
-                for term_id in sorted(vector):
-                    postings = index.term(term_id)
-                    if postings is not None:
-                        matched.append((vector[term_id], postings))
-                if not matched:
-                    continue
-                upper = 0.0
-                for doc_weight, postings in matched:
-                    upper += doc_weight * postings.max_weight
-                if not upper * amplification > min_threshold:
-                    continue
-                acc: Dict[int, float] = {}
-                acc_get = acc.get
-                for doc_weight, postings in matched:
-                    slots = postings.slots
-                    weights = postings.weights
-                    for index_in_term in range(len(slots)):
-                        slot = slots[index_in_term]
-                        acc[slot] = acc_get(slot, 0.0) + doc_weight * weights[index_in_term]
-                    counters.postings_scanned += len(slots)
-                counters.full_evaluations += sum(
-                    1 for similarity in acc.values() if similarity != 0.0
-                )
-                counters.bound_computations += num_live
-                candidates = []
-                for slot, similarity in acc.items():
-                    score = similarity * amplification
-                    if score > frozen[slot]:
-                        candidates.append((int(slot_qids[slot]), slot, score))
-                candidates.sort()
-                for query_id, slot, score in candidates:
-                    result = results_get(query_id)
-                    accepted, evicted, threshold_changed = result.offer_tracked(
-                        document.doc_id, score
-                    )
-                    if not accepted:
-                        continue
-                    counters.result_updates += 1
-                    updates.append(
-                        ResultUpdate(
-                            query_id=query_id,
-                            doc_id=document.doc_id,
-                            score=score,
-                            evicted_doc_id=evicted,
-                        )
-                    )
-                    if threshold_changed:
-                        thresholds[slot] = result.threshold
         return updates

@@ -42,7 +42,111 @@ from repro.text.vectorizer import Vectorizer
 from repro.types import QueryId, SparseVector
 
 
-class ContinuousMonitor:
+class MonitorSurface:
+    """The convenience surface of every monitor flavour, written once over
+    the primitives each one implements: ``register_query``, ``process``,
+    ``process_batch``, ``close``, and the ``config``/``vectorizer``
+    attributes.  Shared with the sharded and the durable monitor."""
+
+    _next_query_id = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()  # type: ignore[attr-defined]
+
+    def _take_query_id(self) -> QueryId:
+        query_id = self._next_query_id
+        self._next_query_id += 1
+        return query_id
+
+    @property
+    def next_query_id(self) -> int:
+        """The id the next ``register_vector``/``register_keywords`` will use."""
+        return self._next_query_id
+
+    def ensure_next_query_id(self, minimum: int) -> None:
+        """Never auto-assign a query id below ``minimum``.
+
+        Recovery uses this so ids of queries that were registered and later
+        unregistered are not reissued after a restart.
+        """
+        self._next_query_id = max(self._next_query_id, minimum)
+
+    def register_queries(self, queries: Iterable[Query]) -> List[Query]:
+        return [self.register_query(query) for query in queries]  # type: ignore[attr-defined]
+
+    def register_vector(
+        self, vector: SparseVector, k: Optional[int] = None, user: Optional[str] = None
+    ) -> Query:
+        """Register a query from a (possibly unnormalized) sparse vector."""
+        query = Query(
+            query_id=self._take_query_id(),
+            vector=l2_normalize(vector),
+            k=k or self.config.default_k,  # type: ignore[attr-defined]
+            user=user,
+        )
+        return self.register_query(query)  # type: ignore[attr-defined]
+
+    def register_keywords(
+        self,
+        keywords: Iterable[str],
+        k: Optional[int] = None,
+        user: Optional[str] = None,
+    ) -> Query:
+        """Register a query from raw keywords (requires a vectorizer)."""
+        if self.vectorizer is None:  # type: ignore[attr-defined]
+            raise ConfigurationError(
+                "register_keywords requires a Vectorizer; pass one to the monitor"
+            )
+        vector = self.vectorizer.vectorize_keywords(keywords)
+        if not vector:
+            raise ConfigurationError(
+                "the supplied keywords produced an empty vector (all stopwords "
+                "or unknown terms)"
+            )
+        return self.register_vector(vector, k=k, user=user)
+
+    def process_text(self, doc_id: int, text: str, arrival_time: float) -> List[ResultUpdate]:
+        """Vectorize raw text and process it (requires a vectorizer)."""
+        if self.vectorizer is None:  # type: ignore[attr-defined]
+            raise ConfigurationError(
+                "process_text requires a Vectorizer; pass one to the monitor"
+            )
+        vector = self.vectorizer.vectorize_text(text)
+        if not vector:
+            return []
+        document = Document(
+            doc_id=doc_id, vector=vector, arrival_time=arrival_time, text=text
+        )
+        return self.process(document)  # type: ignore[attr-defined]
+
+    def process_stream(
+        self, documents: Iterable[Document], limit: Optional[int] = None
+    ) -> List[ResultUpdate]:
+        """Process a sequence (or a bounded prefix) of stream documents
+        through the per-event path."""
+        updates: List[ResultUpdate] = []
+        for count, document in enumerate(documents):
+            if limit is not None and count >= limit:
+                break
+            updates.extend(self.process(document))  # type: ignore[attr-defined]
+        return updates
+
+    def process_batches(
+        self, batches: Iterable[Sequence[Document]]
+    ) -> List[BatchUpdate]:
+        """Drain an iterable of batches (e.g. a
+        :class:`~repro.documents.stream.BatchingStream`) through
+        ``process_batch``."""
+        updates: List[BatchUpdate] = []
+        for batch in batches:
+            updates.extend(self.process_batch(batch))  # type: ignore[attr-defined]
+        return updates
+
+
+class ContinuousMonitor(MonitorSurface):
     """Hosts continuous top-k queries and refreshes them on every stream event.
 
     Example::
@@ -78,7 +182,6 @@ class ContinuousMonitor:
         if self.config.window_horizon is not None:
             self._expiration = ExpirationManager(self.algorithm, self.config.window_horizon)
             self.algorithm.add_update_listener(self._expiration.on_result_update)
-        self._next_query_id = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -92,61 +195,15 @@ class ContinuousMonitor:
         uniformly, e.g. by the serving layer or a ``with`` block.  Reads
         and writes keep working after ``close()``."""
 
-    def __enter__(self) -> "ContinuousMonitor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
     # Query registration
     # ------------------------------------------------------------------ #
-
-    def _take_query_id(self) -> QueryId:
-        query_id = self._next_query_id
-        self._next_query_id += 1
-        return query_id
 
     def register_query(self, query: Query) -> Query:
         """Register a fully formed :class:`Query` (caller-assigned id)."""
         self.algorithm.register(query)
         self._next_query_id = max(self._next_query_id, query.query_id + 1)
         return query
-
-    def register_queries(self, queries: Iterable[Query]) -> List[Query]:
-        return [self.register_query(query) for query in queries]
-
-    def register_vector(
-        self, vector: SparseVector, k: Optional[int] = None, user: Optional[str] = None
-    ) -> Query:
-        """Register a query from a (possibly unnormalized) sparse vector."""
-        query = Query(
-            query_id=self._take_query_id(),
-            vector=l2_normalize(vector),
-            k=k or self.config.default_k,
-            user=user,
-        )
-        self.algorithm.register(query)
-        return query
-
-    def register_keywords(
-        self,
-        keywords: Iterable[str],
-        k: Optional[int] = None,
-        user: Optional[str] = None,
-    ) -> Query:
-        """Register a query from raw keywords (requires a vectorizer)."""
-        if self.vectorizer is None:
-            raise ConfigurationError(
-                "register_keywords requires a Vectorizer; pass one to the monitor"
-            )
-        vector = self.vectorizer.vectorize_keywords(keywords)
-        if not vector:
-            raise ConfigurationError(
-                "the supplied keywords produced an empty vector (all stopwords "
-                "or unknown terms)"
-            )
-        return self.register_vector(vector, k=k, user=user)
 
     def unregister(self, query_id: QueryId) -> Query:
         """Remove a continuous query from the monitor."""
@@ -169,32 +226,6 @@ class ContinuousMonitor:
             self._expiration.expire(document.arrival_time)
         return updates
 
-    def process_text(self, doc_id: int, text: str, arrival_time: float) -> List[ResultUpdate]:
-        """Vectorize raw text and process it (requires a vectorizer)."""
-        if self.vectorizer is None:
-            raise ConfigurationError(
-                "process_text requires a Vectorizer; pass one to the monitor"
-            )
-        vector = self.vectorizer.vectorize_text(text)
-        if not vector:
-            return []
-        document = Document(
-            doc_id=doc_id, vector=vector, arrival_time=arrival_time, text=text
-        )
-        return self.process(document)
-
-    def process_stream(
-        self, documents: Iterable[Document], limit: Optional[int] = None
-    ) -> List[ResultUpdate]:
-        """Process a sequence (or a bounded prefix) of stream documents
-        through the per-event path."""
-        updates: List[ResultUpdate] = []
-        for count, document in enumerate(documents):
-            if limit is not None and count >= limit:
-                break
-            updates.extend(self.process(document))
-        return updates
-
     def process_batch(self, documents: Sequence[Document]) -> List[BatchUpdate]:
         """Process an arrival-ordered batch of documents as one unit.
 
@@ -213,17 +244,6 @@ class ContinuousMonitor:
                 self._expiration.observe(document)
             assert docs[-1].arrival_time is not None
             self._expiration.expire(docs[-1].arrival_time)
-        return updates
-
-    def process_batches(
-        self, batches: Iterable[Sequence[Document]]
-    ) -> List[BatchUpdate]:
-        """Drain an iterable of batches (e.g. a
-        :class:`~repro.documents.stream.BatchingStream`) through
-        :meth:`process_batch`."""
-        updates: List[BatchUpdate] = []
-        for batch in batches:
-            updates.extend(self.process_batch(batch))
         return updates
 
     # ------------------------------------------------------------------ #
@@ -293,19 +313,6 @@ class ContinuousMonitor:
         the durability layer.
         """
         return self.algorithm.renormalize(new_origin)
-
-    @property
-    def next_query_id(self) -> int:
-        """The id the next ``register_vector``/``register_keywords`` will use."""
-        return self._next_query_id
-
-    def ensure_next_query_id(self, minimum: int) -> None:
-        """Never auto-assign a query id below ``minimum``.
-
-        Recovery uses this so ids of queries that were registered and later
-        unregistered are not reissued after a restart.
-        """
-        self._next_query_id = max(self._next_query_id, minimum)
 
     def describe(self) -> Dict[str, object]:
         info = self.algorithm.describe()

@@ -27,9 +27,9 @@ Unregistration tombstones the query's slot, and the slot space is
 compacted (densely reassigned) once more than half the slots are dead, so
 long churn storms cannot leak memory.
 
-numpy is optional: when it is unavailable the columns degrade to
-:mod:`array` arrays with identical semantics (the engine then probes them
-with scalar loops — same results, no vectorization).
+The columns are numpy arrays (numpy is a declared dependency of the
+package); only the per-term membership lists are plain :mod:`array` arrays,
+because they grow by single appends and bisect inserts.
 """
 
 from __future__ import annotations
@@ -38,17 +38,12 @@ from array import array
 from bisect import bisect_left, insort
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.exceptions import DuplicateQueryError, UnknownQueryError
 from repro.queries.query import Query
 from repro.queries.store import QueryStore, SlotMap
 from repro.types import QueryId, TermId
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 INF = float("inf")
 
@@ -60,16 +55,12 @@ COMPACT_MIN_DEAD = 32
 
 def _id_column(values: List[int]):
     """Pack query ids / slots as a contiguous signed-64 column."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.int64)
-    return array("q", values)
+    return np.asarray(values, dtype=np.int64)
 
 
 def _float_column(values: List[float]):
     """Pack weights / bounds as a contiguous float64 column."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.float64)
-    return array("d", values)
+    return np.asarray(values, dtype=np.float64)
 
 
 class TermPostings:
@@ -206,16 +197,10 @@ class ColumnarQueryIndex:
         capacity = max(len(self._slot_qids), 16)
         while capacity < minimum:
             capacity *= 2
-        if _np is not None:
-            qids = _np.full(capacity, -1, dtype=_np.int64)
-            qids[: self.size] = self._slot_qids[: self.size]
-            thresholds = _np.full(capacity, INF, dtype=_np.float64)
-            thresholds[: self.size] = self._slot_thresholds[: self.size]
-        else:
-            qids = array("q", list(self._slot_qids[: self.size]))
-            qids.extend([-1] * (capacity - self.size))
-            thresholds = array("d", list(self._slot_thresholds[: self.size]))
-            thresholds.extend([INF] * (capacity - self.size))
+        qids = np.full(capacity, -1, dtype=np.int64)
+        qids[: self.size] = self._slot_qids[: self.size]
+        thresholds = np.full(capacity, INF, dtype=np.float64)
+        thresholds[: self.size] = self._slot_thresholds[: self.size]
         self._slot_qids = qids
         self._slot_thresholds = thresholds
 
@@ -346,14 +331,14 @@ class ColumnarQueryIndex:
         """
         if self._global is not None and not self._global_changed:
             return self._global
-        if self._global is None or _np is None:
+        if self._global is None:
             self._rebuild_global()
         else:
             self._splice_global()
         return self._global
 
     def _rebuild_global(self) -> None:
-        """Full CSR construction (first build, post-compaction, no-numpy)."""
+        """Full CSR construction (first build, post-compaction)."""
         self._global_changed.clear()
         term_keys = sorted(self._term_qids)
         lengths: List[int] = []
@@ -366,14 +351,12 @@ class ColumnarQueryIndex:
             slot_parts.append(postings.slots)
             weight_parts.append(postings.weights)
             max_weights.append(postings.max_weight)
-        if _np is not None and slot_parts:
-            slot_col = _np.concatenate(slot_parts)
-            weight_col = _np.concatenate(weight_parts)
+        if slot_parts:
+            slot_col = np.concatenate(slot_parts)
+            weight_col = np.concatenate(weight_parts)
         else:
-            slot_col = _id_column([slot for part in slot_parts for slot in part])
-            weight_col = _float_column(
-                [weight for part in weight_parts for weight in part]
-            )
+            slot_col = _id_column([])
+            weight_col = _float_column([])
         starts: List[int] = []
         ends: List[int] = []
         position = 0
@@ -410,7 +393,7 @@ class ColumnarQueryIndex:
         slot_pieces, weight_pieces = [], []
         cursor = 0  # index into old_keys: everything before it is emitted
         for term_id in changed:
-            index = int(_np.searchsorted(old_keys, term_id))
+            index = int(np.searchsorted(old_keys, term_id))
             if index > cursor:  # carry the clean stretch [cursor, index)
                 key_pieces.append(old_keys[cursor:index])
                 len_pieces.append(old_lengths[cursor:index])
@@ -445,22 +428,22 @@ class ColumnarQueryIndex:
             position += length
             ends.append(position)
         if slot_pieces:
-            slot_col = _np.concatenate(slot_pieces)
-            weight_col = _np.concatenate(weight_pieces)
+            slot_col = np.concatenate(slot_pieces)
+            weight_col = np.concatenate(weight_pieces)
         else:
             slot_col = _id_column([])
             weight_col = _float_column([])
         self._global_lengths = lengths
         self._global = (
-            _np.concatenate([_np.asarray(piece, dtype=_np.int64) for piece in key_pieces])
+            np.concatenate([np.asarray(piece, dtype=np.int64) for piece in key_pieces])
             if key_pieces
             else _id_column([]),
             _id_column(starts),
             _id_column(ends),
             slot_col,
             weight_col,
-            _np.concatenate(
-                [_np.asarray(piece, dtype=_np.float64) for piece in maxw_pieces]
+            np.concatenate(
+                [np.asarray(piece, dtype=np.float64) for piece in maxw_pieces]
             )
             if maxw_pieces
             else _float_column([]),
@@ -477,20 +460,16 @@ class ColumnarQueryIndex:
 
     def qids_view(self):
         """The per-slot query-id column for slots ``[0, size)`` (-1 = dead)."""
-        if _np is not None:
-            return self._slot_qids[: self.size]
-        return self._slot_qids
+        return self._slot_qids[: self.size]
 
     def thresholds_view(self):
         """The per-slot ``S_k`` column for slots ``[0, size)``.
 
-        numpy builds return a *view*: engines may write accepted-offer
-        thresholds straight through it.  Dead slots hold ``+inf`` so a
-        vectorized ``score > threshold`` mask can never select them.
+        A *view*: engines may write accepted-offer thresholds straight
+        through it.  Dead slots hold ``+inf`` so a vectorized
+        ``score > threshold`` mask can never select them.
         """
-        if _np is not None:
-            return self._slot_thresholds[: self.size]
-        return self._slot_thresholds
+        return self._slot_thresholds[: self.size]
 
     # ------------------------------------------------------------------ #
     # Threshold maintenance
@@ -507,11 +486,7 @@ class ColumnarQueryIndex:
         is deterministic.  Dead slots hold ``+inf``, which the division
         leaves at ``+inf``.
         """
-        if _np is not None:
-            self._slot_thresholds[: self.size] /= factor
-        else:
-            for slot in range(self.size):
-                self._slot_thresholds[slot] /= factor
+        self._slot_thresholds[: self.size] /= factor
 
     def refresh_thresholds(self, threshold_of) -> None:
         """Reload every live slot's threshold via ``threshold_of(query_id)``
@@ -531,6 +506,4 @@ class ColumnarQueryIndex:
         """
         if self.size == 0 or not len(self._slot_map):
             return INF
-        if _np is not None:
-            return float(self._slot_thresholds[: self.size].min())
-        return min(self._slot_thresholds[: self.size])
+        return float(self._slot_thresholds[: self.size].min())

@@ -1,43 +1,16 @@
 """Aggregate statistics over a measured run (per-event response times).
 
-numpy-optional on purpose: the bench harness runs wherever the engine
-runs, and the engine itself has no numpy dependency.  When numpy is
-present the summaries use its vectorized mean/percentile; without it a
-pure-Python fallback computes the *same* numbers — ``_percentile``
-reimplements ``np.percentile``'s default linear interpolation exactly, so
-committed bench tables do not change shape or value with the installed
-stack.  Covered by ``tests/test_metrics.py``.
+Summaries are numpy's vectorized mean/median/percentile (default linear
+interpolation) over the sample, reported in milliseconds.  Covered by
+``tests/test_metrics.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-try:  # pragma: no cover - import probe
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-free deployments
-    np = None  # type: ignore[assignment]
-
-
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """``np.percentile(values, q)`` (linear interpolation) without numpy.
-
-    ``sorted_values`` must be non-empty and ascending.  The rank is
-    ``q/100 * (n - 1)``; a fractional rank interpolates linearly between
-    the two neighbouring order statistics — numpy's default method.
-    """
-    n = len(sorted_values)
-    if n == 1:
-        return float(sorted_values[0])
-    rank = (q / 100.0) * (n - 1)
-    lower = math.floor(rank)
-    upper = min(lower + 1, n - 1)
-    fraction = rank - lower
-    return float(
-        sorted_values[lower] + (sorted_values[upper] - sorted_values[lower]) * fraction
-    )
+import numpy as np
 
 
 def summarize_times(times_seconds: Sequence[float]) -> Dict[str, float]:
@@ -52,27 +25,15 @@ def summarize_times(times_seconds: Sequence[float]) -> Dict[str, float]:
             "max_ms": 0.0,
             "total_ms": 0.0,
         }
-    if np is not None:
-        arr = np.asarray(times_seconds, dtype=float) * 1000.0
-        return {
-            "count": int(arr.size),
-            "mean_ms": float(arr.mean()),
-            "median_ms": float(np.median(arr)),
-            "p95_ms": float(np.percentile(arr, 95)),
-            "p99_ms": float(np.percentile(arr, 99)),
-            "max_ms": float(arr.max()),
-            "total_ms": float(arr.sum()),
-        }
-    values = sorted(float(value) * 1000.0 for value in times_seconds)
-    total = sum(values)
+    arr = np.asarray(times_seconds, dtype=float) * 1000.0
     return {
-        "count": len(values),
-        "mean_ms": total / len(values),
-        "median_ms": _percentile(values, 50),
-        "p95_ms": _percentile(values, 95),
-        "p99_ms": _percentile(values, 99),
-        "max_ms": values[-1],
-        "total_ms": total,
+        "count": int(arr.size),
+        "mean_ms": float(arr.mean()),
+        "median_ms": float(np.median(arr)),
+        "p95_ms": float(np.percentile(arr, 95)),
+        "p99_ms": float(np.percentile(arr, 99)),
+        "max_ms": float(arr.max()),
+        "total_ms": float(arr.sum()),
     }
 
 

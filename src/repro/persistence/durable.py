@@ -32,10 +32,10 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import MonitorConfig
-from repro.core.monitor import ContinuousMonitor
+from repro.core.monitor import ContinuousMonitor, MonitorSurface
 from repro.core.results import BatchUpdate, ResultEntry, ResultUpdate
 from repro.documents.document import Document
 from repro.exceptions import (
@@ -55,8 +55,9 @@ from repro.persistence.recovery import (
 )
 from repro.persistence.wal import WriteAheadLog, atomic_write
 from repro.queries.query import Query
+from repro.runtime.protocol import COMMANDS, WAL_COMMANDS
 from repro.runtime.sharded import ShardedMonitor
-from repro.types import QueryId, SparseVector
+from repro.types import QueryId
 
 _META_NAME = "meta.json"
 _SIDECAR_NAME = "facade.json"
@@ -135,82 +136,7 @@ def _decode_shard_state(encoded: Dict[str, object]) -> Dict[str, object]:
     return wrapped
 
 
-class _WorkerWal:
-    """Drives a per-shard WAL owned by the shard's worker process.
-
-    With the ``"processes"`` executor each shard lives in a worker; its WAL
-    is opened and appended **worker-side** (the ``wal_*`` commands of the
-    shard protocol), so journal I/O runs in parallel with the shard work
-    instead of serializing in the parent.  This proxy exposes the slice of
-    the :class:`WriteAheadLog` surface the durable facade drives during
-    normal operation; recovery — which must *read* the log — always runs
-    against parent-side :class:`WriteAheadLog` objects before ownership is
-    handed to the workers (:meth:`DurableMonitor._activate_worker_wals`).
-
-    The durable LSN cursor is tracked parent-side: the parent issues every
-    LSN, and a worker that dies between commands simply loses its buffered
-    group — the same crash window an in-process shard's WAL has.
-    """
-
-    def __init__(self, handle, directory: str, durability: "DurabilityConfig") -> None:
-        self._handle = handle
-        self.directory = directory
-        self._last_lsn = int(
-            handle.wal_open(
-                directory,
-                durability.group_commit,
-                durability.segment_max_bytes,
-                durability.fsync,
-            )
-        )
-
-    @property
-    def last_lsn(self) -> int:
-        return self._last_lsn
-
-    def append_line(self, line: bytes, lsn: int) -> int:
-        self._handle.wal_append(line, lsn)
-        self._last_lsn = lsn
-        return lsn
-
-    def flush(self) -> None:
-        self._handle.wal_flush()
-
-    def sync(self) -> None:
-        self._handle.wal_sync()
-
-    # Split-phase halves of append/flush/sync: the durable facade submits
-    # one command to *every* worker before collecting any ack
-    # (``DurableMonitor._pipelined_wal_op``), so journal I/O overlaps
-    # across shards instead of paying one blocking round trip per shard
-    # per record.
-
-    def submit(self, command: str, *args: object) -> None:
-        self._handle.submit(command, *args)
-
-    def collect(self) -> None:
-        self._handle.collect()
-
-    def note_appended(self, lsn: int) -> None:
-        """Advance the parent-side LSN cursor after a pipelined append."""
-        self._last_lsn = lsn
-
-    def rotate(self) -> None:
-        self._handle.wal_rotate()
-
-    def compact(self, up_to_lsn: int) -> int:
-        return self._handle.wal_compact(up_to_lsn)
-
-    def close(self) -> None:
-        try:
-            self._handle.wal_close()
-        except WorkerError:
-            # A dead worker's log is already exactly as durable as its last
-            # flush; there is nothing left to close on this side.
-            pass
-
-
-class DurableMonitor:
+class DurableMonitor(MonitorSurface):
     """A crash-safe monitor: WAL + checkpoints around the in-memory engine.
 
     Example::
@@ -288,10 +214,11 @@ class DurableMonitor:
             )
             for shard_dir in shard_dirs
         ]
-        #: True once per-shard WAL ownership moved into the shard workers
-        #: (sharded + processes executor); the journaling fan-out is then
-        #: pipelined over the worker pipes.
-        self._worker_walled = False
+        #: LSN of the most recently journaled record (positioned by
+        #: :meth:`_begin_journaling`).  Tracked here because this facade
+        #: issues every LSN — also once the logs themselves moved into the
+        #: shard workers (``_wals`` is then empty).
+        self._last_lsn = 0
         self._events_since_checkpoint = 0
         self._checkpoints_taken = 0
         self._force_full_checkpoint = False
@@ -308,7 +235,7 @@ class DurableMonitor:
         self._last_journal_seconds = 0.0
         if not _recovering:
             self._write_meta(meta_path)
-            self._activate_worker_wals()
+            self._begin_journaling()
             self._attach_renormalize_listener()
 
     # ------------------------------------------------------------------ #
@@ -392,7 +319,7 @@ class DurableMonitor:
             _recovering=True,
         )
         report = monitor._recover_state()
-        monitor._activate_worker_wals()
+        monitor._begin_journaling()
         monitor._attach_renormalize_listener()
         return monitor, report
 
@@ -469,27 +396,36 @@ class DurableMonitor:
         )
         return report
 
-    def _activate_worker_wals(self) -> None:
-        """Hand per-shard WAL ownership to the shard workers.
+    def _begin_journaling(self) -> None:
+        """Position the LSN cursor; hand shard WALs to resident workers.
 
-        Only applies to a sharded monitor whose executor is shard-resident
-        (``"processes"``).  The parent-side :class:`WriteAheadLog` objects
-        did the open-time work that needs *reading* — torn-tail repair and,
-        on recovery, replay and the physical common-prefix clamp — and are
-        then closed; from here on each worker appends to the log it owns,
-        where its shard lives.  Recovery rehydrates workers first, then
-        calls this, so appends resume worker-side from the recovered LSN.
+        The hand-over only applies to a sharded monitor whose executor is
+        shard-resident (``"processes"``).  The parent-side
+        :class:`WriteAheadLog` objects did the open-time work that needs
+        *reading* — torn-tail repair and, on recovery, replay and the
+        physical common-prefix clamp — and are then closed; from here on each worker appends to the log it owns,
+        where its shard lives (the ``wal_*`` verbs of the shard protocol),
+        so journal I/O runs in parallel with the shard work.  A worker that
+        dies between commands simply loses its buffered group — the same
+        crash window an in-process shard's WAL has.  Recovery rehydrates
+        workers first, then calls this, so appends resume worker-side from
+        the recovered LSN.
         """
+        self._last_lsn = self._wals[0].last_lsn
         if not self._sharded:
             return
         if not getattr(self._inner.executor, "shard_resident", False):  # type: ignore[union-attr]
             return
-        activated: List[_WorkerWal] = []
         for shard, wal in zip(self._inner.shards, self._wals):  # type: ignore[union-attr]
             wal.close()
-            activated.append(_WorkerWal(shard, wal.directory, self.durability))
-        self._wals = activated  # type: ignore[assignment]
-        self._worker_walled = True
+            shard.call(  # type: ignore[attr-defined]
+                "wal_open",
+                wal.directory,
+                self.durability.group_commit,
+                self.durability.segment_max_bytes,
+                self.durability.fsync,
+            )
+        self._wals = []
 
     # ------------------------------------------------------------------ #
     # Metadata and sidecar
@@ -627,36 +563,41 @@ class DurableMonitor:
         """
         kind, data = record
         started = time.perf_counter()
-        lsn = self._wals[0].last_lsn + 1
+        lsn = self._last_lsn + 1
         line = codec.pack_line(
             {"v": codec.CODEC_VERSION, "lsn": lsn, "kind": kind, "data": data}
         )
         try:
-            if self._worker_walled:
-                self._pipelined_wal_op("wal_append", line, lsn)
-                for wal in self._wals:
-                    wal.note_appended(lsn)  # type: ignore[attr-defined]
-            else:
-                for wal in self._wals:
-                    wal.append_line(line, lsn)
+            self._on_wals("wal_append", line, lsn)
         except Exception:
             self._failed = True
             raise
+        self._last_lsn = lsn
         self._last_journal_seconds = time.perf_counter() - started
         return lsn
 
-    def _pipelined_wal_op(self, command: str, *args: object) -> None:
-        """One WAL command on every worker-owned log: submit all, then collect.
+    def _journal(self, command: str, args: Sequence[object], shard: Optional[int] = None) -> int:
+        """Journal an applied shard-protocol command (its record is built by
+        the command table — the one command -> record-kind mapping)."""
+        return self._append(COMMANDS[command].record(args, shard))  # type: ignore[misc]
 
-        The submit loop finishes before any ack is awaited, so the journal
-        I/O of all shards overlaps — this is what makes worker-side WALs
-        parallel rather than n_shards sequential round trips.  Delegated to
-        the process executor's ``run_shards`` fan-out (each
-        :class:`_WorkerWal` exposes the ``submit``/``collect`` halves it
-        drives), so the failure contract — collect every reply, raise the
-        first failure in shard order — lives in exactly one place.
+    def _on_wals(self, verb: str, *args: object) -> None:
+        """Run one WAL verb of the shard protocol on every shard's log.
+
+        Parent-owned logs run the verb's :class:`WriteAheadLog` method in
+        shard order.  Worker-owned logs get the verb over the executor's
+        pipelined fan-out — submitted to every worker before any ack is
+        awaited, so the journal I/O of all shards overlaps, and the failure
+        contract (collect every reply, raise the first failure in shard
+        order) lives in exactly one place.
         """
-        self._inner.executor.run_shards(self._wals, command, args)  # type: ignore[union-attr]
+        if self._wals:
+            method = WAL_COMMANDS[verb]
+            for wal in self._wals:
+                getattr(wal, method)(*args)
+        else:
+            inner: ShardedMonitor = self._inner  # type: ignore[assignment]
+            inner.executor.run_shards(inner.shards, verb, args)
 
     def _after_events(self, count: int) -> None:
         self._events_since_checkpoint += count
@@ -664,51 +605,41 @@ class DurableMonitor:
         if interval is not None and self._events_since_checkpoint >= interval:
             self.checkpoint()
 
-    def _log_register(self, query: Query) -> None:
-        shard = None
-        if self._sharded:
-            shard = self._inner.router.shard_of(query.query_id)  # type: ignore[union-attr]
-        self._append(codec.register_record(query, shard))
+    def _owner_shard(self, query_id: QueryId) -> Optional[int]:
+        """The shard a membership record is tagged with (``None`` = single)."""
+        if not self._sharded:
+            return None
+        return self._inner.router.shard_of(query_id)  # type: ignore[union-attr]
 
     # ------------------------------------------------------------------ #
     # Query registration (monitor-compatible, journaled)
     # ------------------------------------------------------------------ #
 
+    @property
+    def vectorizer(self):
+        return self._inner.vectorizer
+
+    # Query ids are assigned by the wrapped monitor; the shared surface
+    # reads and advances its counter through this alias.
+    @property
+    def _next_query_id(self) -> int:
+        return self._inner._next_query_id
+
+    @_next_query_id.setter
+    def _next_query_id(self, value: int) -> None:
+        self._inner._next_query_id = value
+
     def register_query(self, query: Query) -> Query:
         self._ensure_usable()
         registered = self._apply_inner("register_query", query)
-        self._log_register(registered)
+        self._journal("register", (registered,), self._owner_shard(registered.query_id))
         return registered
-
-    def register_queries(self, queries: Iterable[Query]) -> List[Query]:
-        return [self.register_query(query) for query in queries]
-
-    def register_vector(
-        self, vector: SparseVector, k: Optional[int] = None, user: Optional[str] = None
-    ) -> Query:
-        self._ensure_usable()
-        query = self._apply_inner("register_vector", vector, k=k, user=user)
-        self._log_register(query)
-        return query
-
-    def register_keywords(
-        self,
-        keywords: Iterable[str],
-        k: Optional[int] = None,
-        user: Optional[str] = None,
-    ) -> Query:
-        self._ensure_usable()
-        query = self._apply_inner("register_keywords", keywords, k=k, user=user)
-        self._log_register(query)
-        return query
 
     def unregister(self, query_id: QueryId) -> Query:
         self._ensure_usable()
-        shard = None
-        if self._sharded:
-            shard = self._inner.router.shard_of(query_id)  # type: ignore[union-attr]
+        shard = self._owner_shard(query_id)
         query = self._apply_inner("unregister", query_id)
-        self._append(codec.unregister_record(query_id, shard))
+        self._journal("unregister", (query_id,), shard)
         return query
 
     @property
@@ -729,33 +660,9 @@ class DurableMonitor:
         """
         self._ensure_usable()
         updates = self._apply_inner("process", document)
-        self._append(codec.document_record(document))
+        self._journal("process", (document,))
         self._journal_times.append(self._last_journal_seconds)
         self._after_events(1)
-        return updates
-
-    def process_text(self, doc_id: int, text: str, arrival_time: float) -> List[ResultUpdate]:
-        vectorizer = self._inner.vectorizer
-        if vectorizer is None:
-            raise ConfigurationError(
-                "process_text requires a Vectorizer; pass one to the monitor"
-            )
-        vector = vectorizer.vectorize_text(text)
-        if not vector:
-            return []
-        document = Document(
-            doc_id=doc_id, vector=vector, arrival_time=arrival_time, text=text
-        )
-        return self.process(document)
-
-    def process_stream(
-        self, documents: Iterable[Document], limit: Optional[int] = None
-    ) -> List[ResultUpdate]:
-        updates: List[ResultUpdate] = []
-        for count, document in enumerate(documents):
-            if limit is not None and count >= limit:
-                break
-            updates.extend(self.process(document))
         return updates
 
     def process_batch(self, documents: Sequence[Document]) -> List[BatchUpdate]:
@@ -764,7 +671,7 @@ class DurableMonitor:
         docs = documents if isinstance(documents, list) else list(documents)
         updates = self._apply_inner("process_batch", docs)
         if docs:
-            self._append(codec.batch_record(docs))
+            self._journal("process_batch", (docs,))
             # Mean-preserving per-event attribution, mirroring how the
             # engine attributes batch processing time.
             per_event = self._last_journal_seconds / len(docs)
@@ -772,19 +679,11 @@ class DurableMonitor:
             self._after_events(len(docs))
         return updates
 
-    def process_batches(
-        self, batches: Iterable[Sequence[Document]]
-    ) -> List[BatchUpdate]:
-        updates: List[BatchUpdate] = []
-        for batch in batches:
-            updates.extend(self.process_batch(batch))
-        return updates
-
     def renormalize(self, new_origin: float) -> float:
         """Explicitly rebase the decay origin; journaled as its own record."""
         self._ensure_usable()
         factor = self._apply_inner("renormalize", new_origin)
-        self._append(codec.renormalize_record(new_origin))
+        self._journal("renormalize", (new_origin,))
         return factor
 
     # ------------------------------------------------------------------ #
@@ -795,11 +694,7 @@ class DurableMonitor:
         """Force the current commit group out on every WAL."""
         self._ensure_usable()
         try:
-            if self._worker_walled:
-                self._pipelined_wal_op("wal_flush")
-            else:
-                for wal in self._wals:
-                    wal.flush()
+            self._on_wals("wal_flush")
         except Exception:
             # A failed flush drops a buffered group whose LSNs were already
             # issued — same divergence as a failed append.
@@ -810,11 +705,7 @@ class DurableMonitor:
         """Flush and fsync every WAL (durable even across an OS crash)."""
         self._ensure_usable()
         try:
-            if self._worker_walled:
-                self._pipelined_wal_op("wal_sync")
-            else:
-                for wal in self._wals:
-                    wal.sync()
+            self._on_wals("wal_sync")
         except Exception:
             self._failed = True
             raise
@@ -840,7 +731,7 @@ class DurableMonitor:
             self.sync()
         else:
             self.flush()
-        lsn = self._wals[0].last_lsn
+        lsn = self._last_lsn
         if self._sharded:
             # One state-capture path for local and process-resident shards:
             # the codec-encoded form the shard vends (worker-side encoded
@@ -860,13 +751,8 @@ class DurableMonitor:
         # The sidecar is the commit marker of the whole round: recovery
         # ignores newer per-shard checkpoints until it exists.
         self._write_sidecar(lsn)
-        if self._worker_walled:
-            self._pipelined_wal_op("wal_rotate")
-            self._pipelined_wal_op("wal_compact", lsn)
-        else:
-            for wal in self._wals:
-                wal.rotate()
-                wal.compact(lsn)
+        self._on_wals("wal_rotate")
+        self._on_wals("wal_compact", lsn)
         for manager in self._checkpoints:
             manager.prune()
         self._events_since_checkpoint = 0
@@ -898,17 +784,15 @@ class DurableMonitor:
                 self._failed = True
                 checkpoint_failure = exc
         self._closed = True
-        for wal in self._wals:
-            wal.close()
+        try:
+            self._on_wals("wal_close")
+        except WorkerError:
+            # A dead worker's log is already exactly as durable as its last
+            # flush; there is nothing left to close on this side.
+            pass
         self._inner.close()
         if checkpoint_failure is not None:
             raise checkpoint_failure
-
-    def __enter__(self) -> "DurableMonitor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
     # Results and diagnostics (delegated)
@@ -922,12 +806,7 @@ class DurableMonitor:
     @property
     def last_lsn(self) -> int:
         """WAL position of the most recently journaled record."""
-        return self._wals[0].last_lsn
-
-    @property
-    def next_query_id(self) -> int:
-        """The id the next ``register_vector``/``register_keywords`` will use."""
-        return self._inner.next_query_id
+        return self._last_lsn
 
     def top_k(self, query_id: QueryId) -> List[ResultEntry]:
         return self._inner.top_k(query_id)

@@ -30,6 +30,7 @@ from repro.exceptions import RecoveryError
 from repro.persistence import codec
 from repro.persistence.checkpoint import CheckpointManager
 from repro.persistence.wal import WalRecord, WriteAheadLog
+from repro.runtime.protocol import replay_record
 
 
 @dataclass
@@ -66,38 +67,13 @@ class RecoveryReport:
         self.compacted_segments += shard_report.compacted_segments
 
 
-def apply_record(target, record: WalRecord, shard_id: Optional[int] = None) -> int:
-    """Replay one WAL record against a monitor or engine shard.
-
-    ``target`` needs the normal ingestion surface: ``process``,
-    ``process_batch``, ``register_query`` (or ``register``), ``unregister``
-    and ``renormalize``.  When ``shard_id`` is given, registration records
-    owned by other shards are skipped — every shard's WAL carries the full
-    record sequence, but each query belongs to exactly one shard.
-
-    Returns the number of stream events the record contributed.
-    """
-    kind, data = record.kind, record.data
-    if kind == codec.KIND_DOCUMENT:
-        target.process(codec.decode_document(data["doc"]))
+def documents_in(record: WalRecord) -> int:
+    """Stream events one WAL record contributes (0 for membership records)."""
+    if record.kind == codec.KIND_DOCUMENT:
         return 1
-    if kind == codec.KIND_BATCH:
-        documents = [codec.decode_document(doc) for doc in data["docs"]]
-        target.process_batch(documents)
-        return len(documents)
-    if kind == codec.KIND_REGISTER:
-        if shard_id is None or data.get("shard") == shard_id:
-            register = getattr(target, "register_query", None) or target.register
-            register(codec.decode_query(data["query"]))
-        return 0
-    if kind == codec.KIND_UNREGISTER:
-        if shard_id is None or data.get("shard") == shard_id:
-            target.unregister(int(data["query_id"]))
-        return 0
-    if kind == codec.KIND_RENORMALIZE:
-        target.renormalize(float(data["origin"]))
-        return 0
-    raise RecoveryError(f"WAL record {record.lsn} has unknown kind {kind!r}")
+    if record.kind == codec.KIND_BATCH:
+        return len(record.data["docs"])
+    return 0
 
 
 def recover_engine(
@@ -157,7 +133,8 @@ def recover_engine(
                 "durable tail are missing (refusing to reconstruct a state "
                 "that never existed)"
             )
-        report.replayed_documents += apply_record(target, record, shard_id=shard_id)
+        replay_record(target, record, shard_id=shard_id)
+        report.replayed_documents += documents_in(record)
         report.replayed_records += 1
         report.recovered_lsn = record.lsn
     # The replay must reach the durable tail.  Falling short means records
@@ -192,10 +169,7 @@ def scan_facade_state(
     for record in wal.replay(after_lsn=after_lsn):
         if record.lsn > up_to_lsn:
             break
-        if record.kind == codec.KIND_DOCUMENT:
-            documents += 1
-        elif record.kind == codec.KIND_BATCH:
-            documents += len(record.data["docs"])
-        elif record.kind == codec.KIND_REGISTER:
+        documents += documents_in(record)
+        if record.kind == codec.KIND_REGISTER:
             next_query_id = max(next_query_id, int(record.data["query"]["i"]) + 1)
     return documents, next_query_id

@@ -11,8 +11,8 @@ journaled.  This module owns the two persistence-side seams of that flow:
 * :class:`ReplicaApplier` is the standby replay entry point: it applies each
   shipped line through the **normal** recovery path (`process`,
   ``process_batch``, register/unregister/renormalize — the same
-  :func:`~repro.persistence.recovery.apply_record` semantics that make crash
-  recovery byte-identical), write-through journals the identical bytes into
+  :func:`~repro.runtime.protocol.replay_record` that makes crash recovery
+  byte-identical), write-through journals the identical bytes into
   the standby's own WAL (so a promoted standby owns a log that *is* the
   durable prefix it applied and can keep journaling at the next LSN), and
   caches recent return values so a redo of an already-replicated command is
@@ -31,36 +31,13 @@ from typing import Iterator, Optional, Tuple
 
 from repro.exceptions import CorruptRecordError, ReplicationError
 from repro.persistence import codec
-from repro.persistence.wal import WalRecord, WriteAheadLog, _segment_first_lsn
-
-#: Cluster-only WAL record kind: a whole encoded shard state moved by the
-#: rebalance path (``adopt_encoded``/``restore_encoded``).  Journaled so a
-#: standby tracks state movement too; never produced by ``DurableMonitor``
-#: and deliberately not understood by :func:`repro.persistence.recovery
-#: .apply_record` — a cluster WAL is replayed by :class:`ReplicaApplier`.
-KIND_ADOPT = "adopt"
-
-
-def record_from_envelope(envelope: object) -> WalRecord:
-    """Validate one decoded WAL envelope and return its record.
-
-    Module-level twin of the private ``WriteAheadLog`` helper so replication
-    code can frame-check shipped lines without holding a log instance.
-    """
-    if not isinstance(envelope, dict):
-        raise CorruptRecordError("WAL record envelope is not an object")
-    try:
-        version = envelope["v"]
-        lsn = envelope["lsn"]
-        kind = envelope["kind"]
-        data = envelope["data"]
-    except KeyError as exc:
-        raise CorruptRecordError(f"WAL record envelope missing {exc}") from exc
-    if version != codec.CODEC_VERSION:
-        raise ReplicationError(
-            f"shipped WAL record codec version {version!r} is not supported"
-        )
-    return WalRecord(lsn=int(lsn), kind=str(kind), data=data)
+from repro.persistence.wal import (
+    WalRecord,
+    WriteAheadLog,
+    _segment_first_lsn,
+    record_from_envelope,
+)
+from repro.runtime.protocol import replay_record
 
 
 def iter_segment_lines(
@@ -104,42 +81,6 @@ def iter_segment_lines(
                 yield record.lsn, line
 
 
-def replay_record_value(target, record: WalRecord, shard_id: Optional[int] = None):
-    """Apply one record through the normal ingestion path, keeping its result.
-
-    Same replay semantics as :func:`repro.persistence.recovery.apply_record`
-    (which discards return values — recovery only needs the state), but the
-    standby must also be able to answer a *redo* of an already-replicated
-    command after promotion, so the engine's return value (the update list,
-    the unregistered query, the renormalization factor) is handed back for
-    the applier's result cache.
-    """
-    kind, data = record.kind, record.data
-    if kind == codec.KIND_DOCUMENT:
-        return target.process(codec.decode_document(data["doc"]))
-    if kind == codec.KIND_BATCH:
-        documents = [codec.decode_document(doc) for doc in data["docs"]]
-        return target.process_batch(documents)
-    if kind == codec.KIND_REGISTER:
-        if shard_id is None or data.get("shard") == shard_id:
-            register = getattr(target, "register_query", None) or target.register
-            register(codec.decode_query(data["query"]))
-        return None
-    if kind == codec.KIND_UNREGISTER:
-        if shard_id is None or data.get("shard") == shard_id:
-            return target.unregister(int(data["query_id"]))
-        return None
-    if kind == codec.KIND_RENORMALIZE:
-        return target.renormalize(float(data["origin"]))
-    if kind == KIND_ADOPT:
-        if data.get("op") == "restore":
-            return target.restore_encoded(data["state"])
-        return target.adopt_encoded(data["state"])
-    raise ReplicationError(
-        f"shipped WAL record {record.lsn} has unknown kind {kind!r}"
-    )
-
-
 _MISS = object()
 
 
@@ -181,7 +122,7 @@ class ReplicaApplier:
             )
         if self._wal is not None:
             self._wal.append_line(line, record.lsn)
-        value = replay_record_value(self._target, record, shard_id=self._shard_id)
+        value = replay_record(self._target, record, shard_id=self._shard_id)
         self.applied_lsn = record.lsn
         self._cache[record.lsn] = value
         while len(self._cache) > self._cache_size:

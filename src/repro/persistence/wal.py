@@ -47,6 +47,24 @@ class WalRecord(NamedTuple):
     data: dict
 
 
+def record_from_envelope(envelope: object) -> WalRecord:
+    """Validate one decoded WAL envelope (local or shipped); return its record."""
+    if not isinstance(envelope, dict):
+        raise CorruptRecordError("WAL record envelope is not an object")
+    try:
+        version = envelope["v"]
+        lsn = envelope["lsn"]
+        kind = envelope["kind"]
+        data = envelope["data"]
+    except KeyError as exc:
+        raise CorruptRecordError(f"WAL record envelope missing {exc}") from exc
+    if version != CODEC_VERSION:
+        raise PersistenceError(
+            f"WAL record codec version {version!r} is not supported"
+        )
+    return WalRecord(lsn=int(lsn), kind=str(kind), data=data)
+
+
 def fsync_directory(path: str) -> None:
     """fsync a directory: file create/rename/remove entries are directory
     *contents* and need their own fsync to survive an OS crash."""
@@ -160,8 +178,7 @@ class WriteAheadLog:
         with open(path, "rb") as handle:
             for line in handle:
                 try:
-                    envelope = unpack_line(line)
-                    record = self._record_from_envelope(envelope)
+                    record = record_from_envelope(unpack_line(line))
                 except CorruptRecordError:
                     if is_last:
                         break
@@ -171,22 +188,6 @@ class WriteAheadLog:
                 records.append(record)
                 valid_bytes += len(line)
         return records, valid_bytes
-
-    def _record_from_envelope(self, envelope: object) -> WalRecord:
-        if not isinstance(envelope, dict):
-            raise CorruptRecordError("WAL record envelope is not an object")
-        try:
-            version = envelope["v"]
-            lsn = envelope["lsn"]
-            kind = envelope["kind"]
-            data = envelope["data"]
-        except KeyError as exc:
-            raise CorruptRecordError(f"WAL record envelope missing {exc}") from exc
-        if version != CODEC_VERSION:
-            raise PersistenceError(
-                f"WAL record codec version {version!r} is not supported"
-            )
-        return WalRecord(lsn=int(lsn), kind=str(kind), data=data)
 
     def _open_tail(self) -> None:
         """Find the last durable record, repair a torn tail, position appends."""
@@ -352,7 +353,7 @@ class WriteAheadLog:
             keep_bytes = 0
             with open(path, "rb") as handle:
                 for line in handle:
-                    record = self._record_from_envelope(unpack_line(line))
+                    record = record_from_envelope(unpack_line(line))
                     keep_bytes += len(line)
                     if record.lsn == up_to_lsn:
                         break

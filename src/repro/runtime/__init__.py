@@ -19,15 +19,16 @@ Public entry points:
 * :class:`QueryRouter`, :class:`HashPartitionPolicy`,
   :class:`TermAffinityPolicy`, :func:`make_policy` — query placement;
 * :class:`EngineShard` — one engine shard (snapshot/restore/adopt);
-* :class:`SerialExecutor`, :class:`ThreadPoolShardExecutor`,
-  :class:`ProcessShardExecutor`, :func:`make_executor` — shard execution
-  strategies (in-process serial/threaded, or one worker process per shard).
+* :class:`SerialExecutor`, :class:`ProcessShardExecutor`,
+  :func:`make_executor` — shard execution strategies (in-process serial, or
+  one worker process per shard; ``"remote"`` lives in :mod:`repro.cluster`);
+* :mod:`repro.runtime.protocol` — the one shard-command table every
+  resident shard, handle, journal and replay derives from.
 """
 
 from repro.runtime.executors import (
     SerialExecutor,
     ShardExecutor,
-    ThreadPoolShardExecutor,
     make_executor,
 )
 from repro.runtime.procpool import ProcessShardExecutor, ProcessShardHandle
@@ -44,7 +45,6 @@ from repro.runtime.sharded import ShardedMonitor
 __all__ = [
     "ShardExecutor",
     "SerialExecutor",
-    "ThreadPoolShardExecutor",
     "ProcessShardExecutor",
     "ProcessShardHandle",
     "make_executor",

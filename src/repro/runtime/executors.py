@@ -1,4 +1,4 @@
-"""Executors that run per-shard work: serially, on threads, or in processes.
+"""Executors that run per-shard work: serially in-process, or in resident workers.
 
 The sharded monitor fans every stream event (or batch) out to all shards;
 *how* those per-shard tasks run is pluggable:
@@ -6,19 +6,19 @@ The sharded monitor fans every stream event (or batch) out to all shards;
 * :class:`SerialExecutor` — runs shard tasks one after another on the
   calling thread.  Zero concurrency, zero overhead, fully deterministic —
   the right choice for tests, differential runs and single-core boxes.
-* :class:`ThreadPoolShardExecutor` — runs shard tasks on a
-  :class:`concurrent.futures.ThreadPoolExecutor`.  Shards share no mutable
-  state, so they process the same event concurrently without locking; on
-  CPython the GIL serializes pure-Python bytecode, so wall-clock gains
-  need either multiple cores with GIL-releasing work or a free-threaded
-  build — the executor is the seam where that parallelism plugs in.
 * :class:`~repro.runtime.procpool.ProcessShardExecutor` (name
   ``"processes"``) — hosts each shard inside a long-lived worker process
-  and drives it over a pipe.  The only executor that yields wall-clock
-  speedups on stock multi-core CPython, at the price of serializing
-  events and updates across process boundaries.  It is *shard-resident*:
-  the shards live in the workers, not in the calling process (see
-  :attr:`ShardExecutor.shard_resident`).
+  and drives it over a pipe (document batches through shared memory when
+  the host has it).  Yields wall-clock speedups on stock multi-core
+  CPython, at the price of serializing events and updates across process
+  boundaries.
+* :class:`~repro.cluster.remote.RemoteShardExecutor` (name ``"remote"``) —
+  the same protocol over sockets, to shard-host processes with optional
+  hot standbys.
+
+The last two are *shard-resident*: the shards live in the workers, not in
+the calling process (see :attr:`ShardExecutor.shard_resident`), and both
+fan commands out through the one pipelined loop here, :func:`pipeline`.
 
 Failure contract
 ----------------
@@ -27,8 +27,8 @@ All executors implement the same fan-out failure semantics, which the
 durability layer depends on: **every task runs to completion, then the
 first exception in task order is raised**.  A mid-batch failure in one
 shard therefore never leaves sibling shards half-driven (serial) or still
-mutating state while the caller already sees the exception (pooled) — after
-``run`` raises, every shard has fully processed or fully refused the
+mutating state while the caller already sees the exception (pipelined) —
+after ``run`` raises, every shard has fully processed or fully refused the
 fan-out, and the surviving state is identical across executor flavours.
 Results are returned in task order.
 """
@@ -36,41 +36,75 @@ Results are returned in task order.
 from __future__ import annotations
 
 import abc
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, TypeVar, Union
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar, Union
 
 from repro.exceptions import ConfigurationError
 
 T = TypeVar("T")
 
 
-def raise_first_failure(outcomes: Sequence[Tuple[Optional[T], Optional[BaseException]]]) -> List[T]:
-    """Unwrap ``(value, exception)`` outcomes collected from a full fan-out.
+def raise_first_failure(values: List[T], failures: Dict[int, BaseException]) -> List[T]:
+    """Settle a fan-out that has already run every task to completion.
 
-    Raises the first exception in task order — after the caller has already
-    run every task to completion — and returns the values otherwise.  Shared
-    by all executors so the contract lives in exactly one place.
+    Raises the first exception in task order (``failures`` is keyed by task
+    index) and returns the values otherwise.  Shared by all executors so
+    the contract lives in exactly one place.
     """
-    for _, exception in outcomes:
-        if exception is not None:
-            raise exception
-    return [value for value, _ in outcomes]  # type: ignore[misc]
+    if failures:
+        raise failures[min(failures)]
+    return values
 
 
 def run_serially(tasks: Sequence[Callable[[], T]]) -> List[T]:
     """Run thunks on the calling thread under the fan-out failure contract.
 
     The body of :meth:`SerialExecutor.run`, shared with executors that fall
-    back to in-thread execution for opaque thunks (the process executor's
+    back to in-thread execution for opaque thunks (the resident executors'
     parallel path ships commands, not closures).
     """
-    outcomes: List[Tuple[Optional[T], Optional[BaseException]]] = []
-    for task in tasks:
+    values: List[T] = []
+    failures: Dict[int, BaseException] = {}
+    for index, task in enumerate(tasks):
         try:
-            outcomes.append((task(), None))
+            values.append(task())
         except Exception as exc:
-            outcomes.append((None, exc))
-    return raise_first_failure(outcomes)
+            values.append(None)  # type: ignore[arg-type]
+            failures[index] = exc
+    return raise_first_failure(values, failures)
+
+
+def pipeline(
+    handles: Sequence,
+    submit: Callable[[object], None],
+    failures: Dict[int, BaseException],
+) -> List[object]:
+    """One submit-all-then-collect round over resident-shard handles.
+
+    *The* pipelined fan-out loop: ``submit(handle)`` runs for every handle
+    before the first ``handle.collect()``, so all workers serve the request
+    concurrently; replies are collected in handle order.  A handle whose
+    submit or collect raises is recorded in ``failures`` (by index) and its
+    value is ``None``; handles already in ``failures`` are skipped, which
+    lets a multi-round fan-out drive the healthy workers to completion.
+    The caller settles with :func:`raise_first_failure`.
+    """
+    values: List[object] = [None] * len(handles)
+    submitted: List[int] = []
+    for index, handle in enumerate(handles):
+        if index in failures:
+            continue
+        try:
+            submit(handle)
+        except Exception as exc:  # noqa: BLE001 - collect-all contract
+            failures[index] = exc
+        else:
+            submitted.append(index)
+    for index in submitted:
+        try:
+            values[index] = handles[index].collect()
+        except Exception as exc:  # noqa: BLE001 - collect-all contract
+            failures[index] = exc
+    return values
 
 
 class ShardExecutor(abc.ABC):
@@ -98,9 +132,9 @@ class ShardExecutor(abc.ABC):
     ) -> List[object]:
         """Invoke ``method(*args)`` on every shard; results in shard order.
 
-        The fan-out seam the sharded monitor drives: in-process executors
-        turn it into plain thunks over local :class:`EngineShard` objects,
-        while the process executor overrides it to pipeline one command to
+        The fan-out seam the sharded monitor drives: the in-process executor
+        turns it into plain thunks over local :class:`EngineShard` objects,
+        while the resident executors override it to pipeline one command to
         every worker before collecting any reply.  Same failure contract as
         :meth:`run`.
         """
@@ -125,7 +159,7 @@ class SerialExecutor(ShardExecutor):
     """Run shard tasks sequentially on the calling thread.
 
     A failing task does not abort the fan-out: later shards still run, so
-    the post-failure state matches what the pooled executors leave behind.
+    the post-failure state matches what the resident executors leave behind.
     """
 
     name = "serial"
@@ -134,90 +168,33 @@ class SerialExecutor(ShardExecutor):
         return run_serially(tasks)
 
 
-class ThreadPoolShardExecutor(ShardExecutor):
-    """Run shard tasks on a shared thread pool (one worker per shard).
-
-    The pool is created lazily on first use and must be :meth:`close`\\ d
-    (or the executor used as a context manager) to join the workers.
-    """
-
-    name = "threads"
-
-    def __init__(self, max_workers: int) -> None:
-        if max_workers <= 0:
-            raise ConfigurationError(f"max_workers must be > 0, got {max_workers}")
-        self.max_workers = max_workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="repro-shard"
-            )
-        return self._pool
-
-    def run(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
-        if len(tasks) == 1:
-            # No point paying the submission round-trip for one shard.
-            return [tasks[0]()]
-        pool = self._ensure_pool()
-        futures = [pool.submit(task) for task in tasks]
-        # Wait for *every* future before surfacing any failure: raising
-        # while sibling futures are still mutating shard state would hand
-        # the caller an exception over a moving fan-out.
-        outcomes: List[Tuple[Optional[T], Optional[BaseException]]] = []
-        for future in futures:
-            try:
-                outcomes.append((future.result(), None))
-            except Exception as exc:
-                outcomes.append((None, exc))
-        return raise_first_failure(outcomes)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-_EXECUTORS: Dict[str, Type[ShardExecutor]] = {
-    SerialExecutor.name: SerialExecutor,
-    ThreadPoolShardExecutor.name: ThreadPoolShardExecutor,
-}
-
-#: Names :func:`make_executor` accepts (the "processes*" names resolve
-#: lazily — the procpool module imports this one).  ``"processes"`` picks
-#: the shared-memory batch transport when the host provides it;
-#: ``"processes-pipe"`` forces the pipe fallback (useful for measuring the
-#: transport itself, and for hosts with a broken /dev/shm).
-EXECUTOR_NAMES = ("serial", "threads", "processes", "processes-pipe", "remote")
+#: Names :func:`make_executor` accepts.  ``"processes"`` picks the
+#: shared-memory batch transport when the host provides it and falls back
+#: to the pipes by itself; forcing a transport takes an instance,
+#: ``ProcessShardExecutor(n, transport="pipe")``.
+EXECUTOR_NAMES = ("serial", "processes", "remote")
 
 
 def make_executor(spec: Union[str, ShardExecutor], n_shards: int) -> ShardExecutor:
-    """Resolve an executor name (``"serial"``/``"threads"``/``"processes"``/
-    ``"processes-pipe"``/``"remote"``) or pass an instance through.
+    """Resolve an executor name (``"serial"``/``"processes"``/``"remote"``)
+    or pass an instance through.
 
-    ``n_shards`` sizes the worker pool for pooled executors.
+    ``n_shards`` sizes the worker fleet of the resident executors, which
+    resolve lazily — their modules import this one for the base class.
     """
     if isinstance(spec, ShardExecutor):
         return spec
     name = str(spec).lower()
-    if name in ("processes", "processes-pipe"):
-        # Function-level import: procpool imports this module for the base
-        # class, so the registry resolves it lazily.
+    if name == "serial":
+        return SerialExecutor()
+    if name == "processes":
         from repro.runtime.procpool import ProcessShardExecutor
 
-        transport = "pipe" if name == "processes-pipe" else "auto"
-        return ProcessShardExecutor(n_shards, transport=transport)
+        return ProcessShardExecutor(n_shards)
     if name == "remote":
-        # Same lazy-registry pattern: the cluster layer builds on this module.
         from repro.cluster.remote import RemoteShardExecutor
 
         return RemoteShardExecutor(n_shards)
-    cls = _EXECUTORS.get(name)
-    if cls is None:
-        raise ConfigurationError(
-            f"unknown shard executor {spec!r}; expected one of {sorted(EXECUTOR_NAMES)}"
-        )
-    if cls is ThreadPoolShardExecutor:
-        return ThreadPoolShardExecutor(max_workers=n_shards)
-    return cls()
+    raise ConfigurationError(
+        f"unknown shard executor {spec!r}; expected one of {sorted(EXECUTOR_NAMES)}"
+    )

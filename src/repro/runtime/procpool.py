@@ -1,11 +1,11 @@
 """Process-resident shard execution: one long-lived worker per shard.
 
-On stock CPython the GIL keeps :class:`ThreadPoolShardExecutor` from turning
-shard concurrency into wall-clock speedup; this module is the executor that
-can.  Each shard lives inside its own long-lived **worker process** that
-owns a full :class:`~repro.runtime.shard.EngineShard`; the parent drives the
-workers over duplex pipes with a small command protocol and never touches
-shard state directly.
+On stock CPython the GIL serializes pure-Python shard work inside one
+process; this module is the executor that turns shard concurrency into
+wall-clock speedup.  Each shard lives inside its own long-lived **worker
+process** that owns a full :class:`~repro.runtime.shard.EngineShard`; the
+parent drives the workers over duplex pipes with the shard protocol
+(:mod:`repro.runtime.protocol`) and never touches shard state directly.
 
 Design
 ------
@@ -31,11 +31,12 @@ Design
   notifications into the :class:`BatchUpdate` form engine-side and ship
   them (plus any captured raw updates) as binary sections of a single
   reply frame, instead of thousands of pickled tuples.
-* **Pipelined fan-out.**  :meth:`ProcessShardExecutor.run_shards` sends the
-  command to *every* worker before collecting any reply, so the workers
-  process the same event concurrently on separate cores.  Replies are
-  collected in shard order; per the executor failure contract, every reply
-  is collected before the first exception (in shard order) is raised.
+* **Pipelined fan-out.**  :meth:`ResidentShardExecutor.run_shards` sends the
+  command to *every* worker before collecting any reply
+  (:func:`~repro.runtime.executors.pipeline`), so the workers process the
+  same event concurrently on separate cores.  Replies are collected in
+  shard order; per the executor failure contract, every reply is collected
+  before the first exception (in shard order) is raised.
 * **State moves through the persistence codec.**  Shard state crossing the
   process boundary — rebalance captures, checkpoint snapshots, recovery
   restores — travels in the codec's encoded form, the same bytes-shape a
@@ -59,31 +60,26 @@ guards every decode.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.config import MonitorConfig
-from repro.core.results import BatchUpdate, ResultEntry, ResultUpdate
+from repro.core.results import BatchUpdate, ResultUpdate
 from repro.documents.document import Document
 from repro.exceptions import ConfigurationError, WorkerError
-from repro.metrics.counters import EventCounters
 from repro.persistence import codec
-from repro.queries.query import Query
-from repro.runtime.executors import ShardExecutor, raise_first_failure, run_serially
+from repro.runtime.executors import ShardExecutor, pipeline, raise_first_failure, run_serially
+from repro.runtime.protocol import COMMANDS, ERR, WAL_COMMANDS, ShardServer
 from repro.runtime.shard import EngineShard
 from repro.runtime.shm import (
     DEFAULT_RING_BYTES,
     SharedMemoryRing,
     shared_memory_available,
 )
-from repro.types import QueryId
 
 T = TypeVar("T")
-
-#: Reply statuses of the worker protocol.
-_OK = "ok"
-_ERR = "err"
 
 #: Transports the executor accepts (``"auto"`` prefers shared memory and
 #: falls back to pipes when the host cannot provide it).
@@ -93,28 +89,8 @@ TRANSPORTS = ("auto", "shm", "pipe")
 #: collections (automatic collection is off inside the worker loop).
 _GC_EVERY_COMMITS = 256
 
-#: Commands the worker resolves as plain EngineShard method calls / reads.
-_SHARD_METHODS = (
-    "process",
-    "process_batch",
-    "register",
-    "unregister",
-    "renormalize",
-    "top_k",
-    "threshold",
-    "all_results",
-    "describe",
-    "reset_statistics",
-    "snapshot_encoded",
-    "restore_encoded",
-    "adopt_encoded",
-)
-_SHARD_PROPERTIES = (
-    "num_queries",
-    "live_window_size",
-    "last_arrival",
-    "batch_response_times",
-)
+#: EngineShard attribute -> the protocol row a handle serves it with.
+_BY_ATTR = {entry.attr: (name, entry) for name, entry in COMMANDS.items()}
 
 
 @dataclass
@@ -160,16 +136,47 @@ class TransportStats:
         }
 
 
-def _decode_batch_payload(header, tail, ring) -> List[Document]:
-    """Resolve one stage/commit payload: a ring slice or the frame's tail."""
-    if "q" in header:
-        if ring is None:
-            raise WorkerError("shm batch descriptor but no ring is attached")
-        payload = ring.slice(header["o"], header["l"])
-    else:
-        payload = tail
-    batch_header, batch_tail = codec.unpack_frame(payload)
-    return codec.decode_document_batch(batch_header, batch_tail)
+class _WorkerLog:
+    """The shard WAL a worker owns, behind the ``wal_*`` protocol verbs."""
+
+    def __init__(self, shard: EngineShard, label: str) -> None:
+        self._shard = shard
+        self._label = label
+        self.wal = None
+
+    def open(self, directory: str, group_commit: int, segment_max_bytes: int, fsync: bool) -> int:
+        from repro.persistence.wal import WriteAheadLog
+
+        if self.wal is not None:
+            self.wal.close()
+        self.wal = WriteAheadLog(
+            directory,
+            group_commit=group_commit,
+            segment_max_bytes=segment_max_bytes,
+            fsync=fsync,
+            telemetry=self._shard.telemetry,
+        )
+        return self.wal.last_lsn
+
+    def _opened(self, command: str):
+        if self.wal is None:
+            raise WorkerError(f"{self._label}: {command} before wal_open")
+        return self.wal
+
+    def close(self) -> None:
+        self._opened("wal_close").close()
+        self.wal = None
+
+    def commands(self) -> Dict[str, Callable[..., object]]:
+        """The worker's protocol extensions: one entry per WAL verb."""
+
+        def verb(command: str, method: str):
+            return lambda *args: getattr(self._opened(command), method)(*args)
+
+        commands = {name: verb(name, method) for name, method in WAL_COMMANDS.items()}
+        commands["wal_open"] = self.open
+        commands["wal_close"] = self.close  # closes, then forgets the log
+        return commands
 
 
 def _shard_worker_main(conn, shard_id: int, config: MonitorConfig, ring_name=None) -> None:
@@ -178,17 +185,14 @@ def _shard_worker_main(conn, shard_id: int, config: MonitorConfig, ring_name=Non
     Runs until a ``shutdown`` command or until the parent's end of the pipe
     closes (the parent died); either way the shard's WAL — if one was
     opened — is flushed and closed so no durable-claimed group is lost to a
-    *graceful* exit.  Replies are codec frames ``{"s": status, "v": value,
-    "e": events}``; ``events`` carries raw result updates (a binary tail
-    section) and renormalization notifications buffered since the previous
-    reply.
+    *graceful* exit.  Decoding, execution and the framed replies are the
+    shared :class:`~repro.runtime.protocol.ShardServer` routine.
     """
     # Imported here (not at module top) to keep the worker's import
     # footprint obvious; under the fork start method these are already
     # loaded in the parent anyway.
     import gc
 
-    from repro.persistence.wal import WriteAheadLog
     from repro.runtime.shm import attach_ring_view
 
     # A worker process runs nothing but this loop, so it takes the classic
@@ -205,136 +209,25 @@ def _shard_worker_main(conn, shard_id: int, config: MonitorConfig, ring_name=Non
     shard = EngineShard(shard_id, config)
     shard.capture_renorms = True
     ring = attach_ring_view(ring_name) if ring_name is not None else None
-    staged: List[Document] = []
-    wal: Optional[WriteAheadLog] = None
-    running = True
-    while running:
+    label = f"shard worker {shard_id}"
+    log = _WorkerLog(shard, label)
+    server = ShardServer(shard, label, log.commands(), ring)
+    while True:
         try:
             request = conn.recv_bytes()
         except (EOFError, OSError):
             break  # Parent is gone; fall through to the WAL flush.
-        status = _OK
-        value: object = None
-        command = "?"
+        command = server.serve(request, conn.send_bytes)
+        if command is None or command == "shutdown":
+            break  # The pipe itself is gone, or the parent said goodbye.
+        if command == "batch_commit":
+            commits_since_gc += 1
+            if commits_since_gc >= _GC_EVERY_COMMITS:
+                commits_since_gc = 0
+                gc.collect()
+    if log.wal is not None:
         try:
-            header, tail = codec.unpack_frame(request)
-            command = header["c"]
-            if command == "batch_stage":
-                # One chunk of a batch larger than the ring: decode and
-                # buffer only — the engine runs once, at the commit.
-                if header.get("f"):
-                    staged = []
-                staged.extend(_decode_batch_payload(header, tail, ring))
-                value = len(staged)
-            elif command == "batch_commit":
-                documents = _decode_batch_payload(header, tail, ring)
-                if header.get("g") and staged:
-                    staged.extend(documents)
-                    documents = staged
-                staged = []
-                value = shard.process_batch(documents)
-                commits_since_gc += 1
-                if commits_since_gc >= _GC_EVERY_COMMITS:
-                    commits_since_gc = 0
-                    gc.collect()
-            elif command == "shutdown":
-                running = False
-            elif command == "ping":
-                import os
-
-                value = os.getpid()
-            elif command == "set_capture_raw":
-                shard.capture_raw = bool(header["a"][0])
-            elif command == "queries":
-                value = dict(shard.queries)
-            elif command == "counters":
-                value = shard.counters.snapshot()
-            elif command == "telemetry":
-                value = shard.telemetry_snapshot()
-            elif command == "response_times":
-                value = list(shard.response_times)
-            elif command == "wal_open":
-                directory, group_commit, segment_max_bytes, fsync = [
-                    codec.decode_value(arg, tail) for arg in header["a"]
-                ]
-                if wal is not None:
-                    wal.close()
-                wal = WriteAheadLog(
-                    directory,
-                    group_commit=group_commit,
-                    segment_max_bytes=segment_max_bytes,
-                    fsync=fsync,
-                    telemetry=shard.telemetry,
-                )
-                value = wal.last_lsn
-            elif command.startswith("wal_"):
-                if wal is None:
-                    raise WorkerError(
-                        f"shard worker {shard_id}: {command} before wal_open"
-                    )
-                args = [codec.decode_value(arg, tail) for arg in header.get("a", ())]
-                if command == "wal_append":
-                    value = wal.append_line(args[0], args[1])
-                elif command == "wal_flush":
-                    wal.flush()
-                elif command == "wal_sync":
-                    wal.sync()
-                elif command == "wal_rotate":
-                    wal.rotate()
-                elif command == "wal_compact":
-                    value = wal.compact(args[0])
-                elif command == "wal_last_lsn":
-                    value = wal.last_lsn
-                elif command == "wal_close":
-                    wal.close()
-                    wal = None
-                else:
-                    raise WorkerError(
-                        f"shard worker {shard_id}: unknown command {command!r}"
-                    )
-            elif command in _SHARD_METHODS:
-                args = [codec.decode_value(arg, tail) for arg in header.get("a", ())]
-                value = getattr(shard, command)(*args)
-            elif command in _SHARD_PROPERTIES:
-                value = getattr(shard, command)
-            else:
-                raise WorkerError(
-                    f"shard worker {shard_id}: unknown command {command!r}"
-                )
-        except Exception as exc:  # noqa: BLE001 - every shard error crosses back
-            status, value = _ERR, exc
-        raw = shard.drain_raw_updates()
-        renorms = shard.drain_renormalizations()
-        fallback = WorkerError(
-            f"shard worker {shard_id}: reply to {command!r} could not be encoded"
-        )
-        sent = False
-        for reply_status, reply_value in ((status, value), (_ERR, fallback)):
-            tail_writer = codec.TailWriter()
-            try:
-                events: Dict[str, object] = {}
-                if raw:
-                    events["r"] = codec.encode_value(raw, tail_writer)
-                if renorms:
-                    events["n"] = [[origin, factor] for origin, factor in renorms]
-                reply = codec.pack_frame(
-                    {
-                        "s": reply_status,
-                        "v": codec.encode_value(reply_value, tail_writer),
-                        "e": events,
-                    },
-                    tail_writer.take(),
-                )
-                conn.send_bytes(reply)
-                sent = True
-                break
-            except Exception:  # noqa: BLE001 - try the fallback reply
-                continue
-        if not sent:
-            break  # The pipe itself is gone.
-    if wal is not None:
-        try:
-            wal.close()
+            log.wal.close()
         except Exception:  # noqa: BLE001 - best-effort final flush
             pass
     if ring is not None:
@@ -345,12 +238,17 @@ def _shard_worker_main(conn, shard_id: int, config: MonitorConfig, ring_name=Non
 class ProcessShardHandle:
     """Parent-side proxy for one shard living in a worker process.
 
-    Mirrors the :class:`EngineShard` surface (same methods, same
-    properties), so the sharded facade, rebalancing and crash recovery
-    drive local and process-resident shards through identical code.  Every
-    call is one synchronous round trip; the executor's fan-out uses the
-    split :meth:`submit` / :meth:`collect` halves to keep all workers busy
-    at once.
+    Mirrors the :class:`EngineShard` surface, so the sharded facade,
+    rebalancing and crash recovery drive local and process-resident shards
+    through identical code.  The mirror is *derived*: any attribute named by
+    a row of :data:`~repro.runtime.protocol.COMMANDS` resolves to one
+    synchronous round trip of that command (methods take the call's
+    arguments, properties answer on read); only what needs parent-side
+    state is written out below.  (``process`` is the exception: the name
+    holds the worker's OS process, and per-event processing is fanned out
+    by command name.)  The executor's fan-out uses the split
+    :meth:`submit` / :meth:`collect` halves to keep all workers busy at
+    once.
     """
 
     def __init__(self, shard_id: int, process, conn, stats: Optional[TransportStats] = None) -> None:
@@ -366,7 +264,7 @@ class ProcessShardHandle:
     # Protocol plumbing
     # ------------------------------------------------------------------ #
 
-    def send_frame(self, frame: bytes) -> None:
+    def submit_frame(self, command: str, frame: bytes) -> None:
         """Ship one pre-packed frame (byte accounting is the caller's job)."""
         try:
             self._conn.send_bytes(frame)
@@ -375,15 +273,19 @@ class ProcessShardHandle:
                 f"shard worker {self.shard_id} is gone (send failed)"
             ) from exc
 
-    def submit(self, command: str, *args: object) -> None:
-        """Send one command without waiting for its reply."""
+    def _pack(self, command: str, args: Sequence[object]) -> bytes:
+        """One request frame, counted as control traffic."""
         tail = codec.TailWriter()
         header: Dict[str, object] = {"c": command}
         if args:
             header["a"] = [codec.encode_value(arg, tail) for arg in args]
         frame = codec.pack_frame(header, tail.take())
         self._stats.control_bytes += len(frame)
-        self.send_frame(frame)
+        return frame
+
+    def submit(self, command: str, *args: object) -> None:
+        """Send one command without waiting for its reply."""
+        self.submit_frame(command, self._pack(command, args))
 
     def collect(self) -> object:
         """Receive one reply; unpack events; raise what the worker raised."""
@@ -411,7 +313,7 @@ class ProcessShardHandle:
             raise WorkerError(
                 f"shard worker {self.shard_id} sent an undecodable reply"
             ) from exc
-        if status == _ERR:
+        if status == ERR:
             if isinstance(value, BaseException):
                 raise value
             raise WorkerError(str(value))  # pragma: no cover - defensive
@@ -426,11 +328,20 @@ class ProcessShardHandle:
         return self.process.is_alive()
 
     # ------------------------------------------------------------------ #
-    # EngineShard surface (stream processing)
+    # EngineShard surface
     # ------------------------------------------------------------------ #
 
-    def process(self, document: Document) -> List[ResultUpdate]:
-        return self.call("process", document)  # type: ignore[return-value]
+    def __getattr__(self, name: str):
+        # Reached only for names not defined on the class: the table-derived
+        # mirror of the EngineShard surface.
+        found = _BY_ATTR.get(name)
+        if found is None:
+            raise AttributeError(name)
+        command, entry = found
+        if entry.is_property:
+            value = self.call(command)
+            return value if entry.from_wire is None else entry.from_wire(value)
+        return functools.partial(self.call, command)
 
     def process_batch(self, documents: Sequence[Document]) -> List[BatchUpdate]:
         """One batch to this worker alone (the executor fan-out shares the
@@ -443,17 +354,8 @@ class ProcessShardHandle:
         self._stats.payload_pipe_bytes += len(payload)
         self._stats.batches += 1
         self._stats.events += len(documents)
-        self.send_frame(frame)
+        self.submit_frame("batch_commit", frame)
         return self.collect()  # type: ignore[return-value]
-
-    def register(self, query: Query) -> None:
-        self.call("register", query)
-
-    def unregister(self, query_id: QueryId) -> Query:
-        return self.call("unregister", query_id)  # type: ignore[return-value]
-
-    def renormalize(self, new_origin: float) -> float:
-        return self.call("renormalize", new_origin)  # type: ignore[return-value]
 
     def add_renormalize_listener(self, listener: Callable[[float, float], None]) -> None:
         """Listener fired parent-side as rebase notifications arrive.
@@ -464,10 +366,6 @@ class ProcessShardHandle:
         on the caller's thread, like the facade's update listeners.
         """
         self._renormalize_listeners.append(listener)
-
-    # ------------------------------------------------------------------ #
-    # EngineShard surface (raw update capture)
-    # ------------------------------------------------------------------ #
 
     @property
     def capture_raw(self) -> bool:
@@ -483,80 +381,6 @@ class ProcessShardHandle:
         self._raw_buffer = []
         return drained
 
-    # ------------------------------------------------------------------ #
-    # EngineShard surface (results and diagnostics)
-    # ------------------------------------------------------------------ #
-
-    def top_k(self, query_id: QueryId) -> List[ResultEntry]:
-        return self.call("top_k", query_id)  # type: ignore[return-value]
-
-    def threshold(self, query_id: QueryId) -> float:
-        return self.call("threshold", query_id)  # type: ignore[return-value]
-
-    def all_results(self) -> Dict[QueryId, List[ResultEntry]]:
-        return self.call("all_results")  # type: ignore[return-value]
-
-    @property
-    def queries(self) -> Dict[QueryId, Query]:
-        return self.call("queries")  # type: ignore[return-value]
-
-    @property
-    def num_queries(self) -> int:
-        return self.call("num_queries")  # type: ignore[return-value]
-
-    @property
-    def counters(self) -> EventCounters:
-        counters = EventCounters()
-        counters.restore(self.call("counters"))  # type: ignore[arg-type]
-        return counters
-
-    @property
-    def response_times(self) -> List[float]:
-        return self.call("response_times")  # type: ignore[return-value]
-
-    @property
-    def batch_response_times(self) -> List[Tuple[int, float]]:
-        return [
-            (int(size), float(elapsed))
-            for size, elapsed in self.call("batch_response_times")  # type: ignore[union-attr]
-        ]
-
-    def telemetry_snapshot(self) -> Dict[str, object]:
-        """The worker shard's telemetry wire dict (empty when disabled).
-
-        One round trip; the caller merges it losslessly with
-        :meth:`~repro.obs.telemetry.Telemetry.merge_snapshot` — the same
-        collect-and-merge discipline as the ``counters`` command.
-        """
-        return self.call("telemetry")  # type: ignore[return-value]
-
-    @property
-    def live_window_size(self) -> Optional[int]:
-        return self.call("live_window_size")  # type: ignore[return-value]
-
-    @property
-    def last_arrival(self) -> Optional[float]:
-        return self.call("last_arrival")  # type: ignore[return-value]
-
-    def reset_statistics(self) -> None:
-        self.call("reset_statistics")
-
-    def describe(self) -> Dict[str, object]:
-        return self.call("describe")  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------ #
-    # EngineShard surface (state movement — always codec-encoded)
-    # ------------------------------------------------------------------ #
-
-    def snapshot_encoded(self, include_structures: bool = True) -> Dict[str, object]:
-        return self.call("snapshot_encoded", include_structures)  # type: ignore[return-value]
-
-    def restore_encoded(self, encoded: Dict[str, object]) -> None:
-        self.call("restore_encoded", encoded)
-
-    def adopt_encoded(self, encoded: Dict[str, object]) -> None:
-        self.call("adopt_encoded", encoded)
-
     def restore(self, state: Dict[str, object]) -> None:
         """Restore a nested (in-memory) shard capture — recovery's entry point.
 
@@ -569,47 +393,153 @@ class ProcessShardHandle:
             flat["expiration"] = state["expiration"]
         self.restore_encoded(codec.encode_monitor_state(flat))
 
+
+class ResidentShardExecutor(ShardExecutor):
+    """Base of the executors that *own* their shards behind handles.
+
+    Holds what the pipe-served and the socket-served executor share: the
+    handle list, the pipelined command fan-out and the encode-once batch
+    fan-out (``_ring`` is ``None`` wherever payloads ride the frames —
+    always, for sockets).  Subclasses supply ``spawn_shards``/``close``.
+    """
+
+    shard_resident = True
+    n_shards: int
+    stats: TransportStats
+    _handles: Optional[List[ProcessShardHandle]] = None
+    _ring: Optional[SharedMemoryRing] = None
+
+    @property
+    def handles(self) -> List[ProcessShardHandle]:
+        if self._handles is None:
+            raise ConfigurationError(
+                f"{self.name} executor has no shards; spawn_shards() was not called"
+            )
+        return list(self._handles)
+
+    def resize(self, n_shards: int, config: MonitorConfig) -> List[ProcessShardHandle]:
+        """Replace the shard fleet (and its ring) with ``n_shards`` fresh ones."""
+        if n_shards <= 0:
+            raise ConfigurationError(f"n_shards must be > 0, got {n_shards}")
+        self.close()
+        self.n_shards = n_shards
+        return self.spawn_shards(config)  # type: ignore[attr-defined]
+
+    def run(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
+        """Run opaque thunks on the calling thread (the generic fallback).
+
+        Arbitrary closures cannot cross a process boundary; the parallel
+        path is :meth:`run_shards`, which ships *commands* instead.  Same
+        failure contract as every executor.
+        """
+        return run_serially(tasks)
+
+    def run_shards(
+        self, shards: Sequence[object], method: str, args: Tuple[object, ...]
+    ) -> List[object]:
+        """Pipeline one command to every shard, then collect every reply.
+
+        The submit loop finishes before the first collect, so all workers
+        process the command concurrently; collection preserves shard order
+        and — per the failure contract — completes the whole fan-out before
+        raising the first failure in shard order.  The ``process_batch``
+        fan-out to this executor's own shards takes the encode-once batch
+        path (shared ring slot, or one frame written to every connection).
+        """
+        if (
+            method == "process_batch"
+            and len(args) == 1
+            and self._handles is not None
+            and len(shards) == len(self._handles)
+            and all(a is b for a, b in zip(shards, self._handles))
+        ):
+            return self._fan_out_batch(args[0])  # type: ignore[arg-type]
+        failures: Dict[int, BaseException] = {}
+        values = pipeline(shards, lambda shard: shard.submit(method, *args), failures)
+        return raise_first_failure(values, failures)
+
     # ------------------------------------------------------------------ #
-    # Worker-side WAL control (the durable facade's journaling seam)
+    # Encode-once batch fan-out
     # ------------------------------------------------------------------ #
 
-    def wal_open(
-        self,
-        directory: str,
-        group_commit: int,
-        segment_max_bytes: int,
-        fsync: bool,
-    ) -> int:
-        return self.call(  # type: ignore[return-value]
-            "wal_open", directory, group_commit, segment_max_bytes, fsync
-        )
+    def _encode_rounds(self, documents: List[Document]) -> List[bytes]:
+        """Encode ``documents`` as payload frames that each fit the ring.
 
-    def wal_append(self, line: bytes, lsn: int) -> int:
-        return self.call("wal_append", line, lsn)  # type: ignore[return-value]
+        The common case is one frame.  A batch larger than the ring splits
+        recursively into document chunks; a single document whose frame
+        exceeds the ring is returned oversized and ships over the pipes.
+        """
+        frame = codec.encode_document_batch(documents)
+        if self._ring is None or len(frame) <= self._ring.capacity or len(documents) <= 1:
+            return [frame]
+        mid = len(documents) // 2
+        return self._encode_rounds(documents[:mid]) + self._encode_rounds(documents[mid:])
 
-    def wal_flush(self) -> None:
-        self.call("wal_flush")
+    def _fan_out_batch(self, documents: Sequence[Document]) -> List[List[BatchUpdate]]:
+        """Fan one arrival-ordered batch to every shard, encoded once.
 
-    def wal_sync(self) -> None:
-        self.call("wal_sync")
+        Multi-round (chunked) fan-outs stage document chunks worker-side
+        and run each engine exactly once at the commit, so splitting never
+        changes renormalization points or update coalescing.  Per the
+        failure contract a worker that fails any round is excluded from
+        later rounds but every healthy worker is driven to completion
+        before the first failure (in shard order) is raised.
+        """
+        handles = self._handles or []
+        docs = documents if isinstance(documents, list) else list(documents)
+        stats = self.stats
+        stats.batches += 1
+        stats.events += len(docs)
+        rounds = self._encode_rounds(docs)
+        failures: Dict[int, BaseException] = {}
+        values: List[object] = []
+        last = len(rounds) - 1
+        for round_no, payload in enumerate(rounds):
+            if round_no < last:
+                command = "batch_stage"
+                header: Dict[str, object] = {"c": command, "f": round_no == 0}
+            else:
+                command = "batch_commit"
+                header = {"c": command, "g": last > 0}
+            seq = None
+            view = None
+            if self._ring is not None and len(payload) <= self._ring.capacity:
+                # The previous round freed its slot, so a fitting payload
+                # always reserves (at most one slot is ever in flight).
+                seq, offset, view = self._ring.reserve(len(payload))  # type: ignore[misc]
+                view[: len(payload)] = payload
+                if self._ring.used > stats.peak_ring_bytes:
+                    stats.peak_ring_bytes = self._ring.used
+                header["q"] = seq
+                header["o"] = offset
+                header["l"] = len(payload)
+                frame = codec.pack_frame(header)
+                stats.payload_shm_bytes += len(payload)
+                control_len, payload_len = len(frame), 0
+            else:
+                frame = codec.pack_frame(header, payload)
+                control_len = len(frame) - len(payload)
+                payload_len = len(payload)
 
-    def wal_rotate(self) -> None:
-        self.call("wal_rotate")
+            def submit(handle) -> None:
+                handle.submit_frame(command, frame)
+                stats.control_bytes += control_len
+                stats.payload_pipe_bytes += payload_len
 
-    def wal_compact(self, up_to_lsn: int) -> int:
-        return self.call("wal_compact", up_to_lsn)  # type: ignore[return-value]
+            values = pipeline(handles, submit, failures)
+            if seq is not None:
+                # Every worker has acknowledged (or failed); the slot bytes
+                # can never be read again, so reclaim them for the next round.
+                if view is not None:
+                    view.release()
+                self._ring.free(seq)  # type: ignore[union-attr]
+        return raise_first_failure(values, failures)  # type: ignore[return-value]
 
-    def wal_last_lsn(self) -> int:
-        return self.call("wal_last_lsn")  # type: ignore[return-value]
 
-    def wal_close(self) -> None:
-        self.call("wal_close")
-
-
-class ProcessShardExecutor(ShardExecutor):
+class ProcessShardExecutor(ResidentShardExecutor):
     """Hosts every shard in a long-lived worker process (name ``"processes"``).
 
-    Shard-resident: :meth:`spawn_shards` starts the workers and returns the
+    :meth:`spawn_shards` starts the workers and returns the
     :class:`ProcessShardHandle` list the sharded facade uses *as* its
     shards.  :meth:`run_shards` is the parallel fan-out; :meth:`close`
     shuts the workers down (gracefully when they are healthy, forcefully
@@ -628,7 +558,6 @@ class ProcessShardExecutor(ShardExecutor):
     """
 
     name = "processes"
-    shard_resident = True
 
     def __init__(
         self,
@@ -650,20 +579,10 @@ class ProcessShardExecutor(ShardExecutor):
         self.ring_bytes = ring_bytes
         self.stats = TransportStats()
         self._ctx = mp_context if mp_context is not None else multiprocessing.get_context()
-        self._handles: Optional[List[ProcessShardHandle]] = None
-        self._ring: Optional[SharedMemoryRing] = None
 
     # ------------------------------------------------------------------ #
     # Worker lifecycle
     # ------------------------------------------------------------------ #
-
-    @property
-    def handles(self) -> List[ProcessShardHandle]:
-        if self._handles is None:
-            raise ConfigurationError(
-                "process executor has no workers; spawn_shards() was not called"
-            )
-        return list(self._handles)
 
     @property
     def transport_active(self) -> Optional[str]:
@@ -733,14 +652,6 @@ class ProcessShardExecutor(ShardExecutor):
             raise
         return handles
 
-    def resize(self, n_shards: int, config: MonitorConfig) -> List[ProcessShardHandle]:
-        """Replace the worker set (and its ring) with ``n_shards`` fresh workers."""
-        if n_shards <= 0:
-            raise ConfigurationError(f"n_shards must be > 0, got {n_shards}")
-        self.close()
-        self.n_shards = n_shards
-        return self.spawn_shards(config)
-
     def close(self) -> None:
         """Shut every worker down; robust to workers that wedged or died.
 
@@ -769,141 +680,3 @@ class ProcessShardExecutor(ShardExecutor):
         if self._ring is not None:
             self._ring.close()
             self._ring = None
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
-
-    def run(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
-        """Run opaque thunks on the calling thread (the generic fallback).
-
-        Arbitrary closures cannot cross a process boundary; the parallel
-        path is :meth:`run_shards`, which ships *commands* instead.  Same
-        failure contract as every executor.
-        """
-        return run_serially(tasks)
-
-    def run_shards(
-        self, shards: Sequence[object], method: str, args: Tuple[object, ...]
-    ) -> List[object]:
-        """Pipeline one command to every worker, then collect every reply.
-
-        The submit loop finishes before the first collect, so all workers
-        process the command concurrently; collection preserves shard order
-        and — per the failure contract — completes the whole fan-out before
-        raising the first failure in shard order.  The ``process_batch``
-        fan-out to this executor's own workers takes the zero-copy batch
-        path (one encode, shared ring slot or shared pipe frame).
-        """
-        if (
-            method == "process_batch"
-            and len(args) == 1
-            and self._handles is not None
-            and len(shards) == len(self._handles)
-            and all(a is b for a, b in zip(shards, self._handles))
-        ):
-            return self._fan_out_batch(args[0])  # type: ignore[arg-type]
-        submit_failures: Dict[int, BaseException] = {}
-        for index, shard in enumerate(shards):
-            try:
-                shard.submit(method, *args)  # type: ignore[attr-defined]
-            except Exception as exc:
-                submit_failures[index] = exc
-        outcomes: List[Tuple[Optional[object], Optional[BaseException]]] = []
-        for index, shard in enumerate(shards):
-            if index in submit_failures:
-                outcomes.append((None, submit_failures[index]))
-                continue
-            try:
-                outcomes.append((shard.collect(), None))  # type: ignore[attr-defined]
-            except Exception as exc:
-                outcomes.append((None, exc))
-        return raise_first_failure(outcomes)
-
-    # ------------------------------------------------------------------ #
-    # Zero-copy batch fan-out
-    # ------------------------------------------------------------------ #
-
-    def _encode_rounds(self, documents: List[Document]) -> List[bytes]:
-        """Encode ``documents`` as payload frames that each fit the ring.
-
-        The common case is one frame.  A batch larger than the ring splits
-        recursively into document chunks; a single document whose frame
-        exceeds the ring is returned oversized and ships over the pipes.
-        """
-        frame = codec.encode_document_batch(documents)
-        if self._ring is None or len(frame) <= self._ring.capacity or len(documents) <= 1:
-            return [frame]
-        mid = len(documents) // 2
-        return self._encode_rounds(documents[:mid]) + self._encode_rounds(documents[mid:])
-
-    def _fan_out_batch(self, documents: Sequence[Document]) -> List[List[BatchUpdate]]:
-        """Fan one arrival-ordered batch to every worker, encoded once.
-
-        Multi-round (chunked) fan-outs stage document chunks worker-side
-        and run each engine exactly once at the commit, so splitting never
-        changes renormalization points or update coalescing.  Per the
-        failure contract a worker that fails any round is excluded from
-        later rounds but every healthy worker is driven to completion
-        before the first failure (in shard order) is raised.
-        """
-        handles = self._handles or []
-        docs = documents if isinstance(documents, list) else list(documents)
-        stats = self.stats
-        stats.batches += 1
-        stats.events += len(docs)
-        rounds = self._encode_rounds(docs)
-        failures: Dict[int, BaseException] = {}
-        values: List[object] = [None] * len(handles)
-        last = len(rounds) - 1
-        for round_no, payload in enumerate(rounds):
-            if round_no < last:
-                header: Dict[str, object] = {"c": "batch_stage", "f": round_no == 0}
-            else:
-                header = {"c": "batch_commit", "g": last > 0}
-            seq = None
-            view = None
-            if self._ring is not None and len(payload) <= self._ring.capacity:
-                # The previous round freed its slot, so a fitting payload
-                # always reserves (at most one slot is ever in flight).
-                seq, offset, view = self._ring.reserve(len(payload))  # type: ignore[misc]
-                view[: len(payload)] = payload
-                if self._ring.used > stats.peak_ring_bytes:
-                    stats.peak_ring_bytes = self._ring.used
-                header["q"] = seq
-                header["o"] = offset
-                header["l"] = len(payload)
-                frame = codec.pack_frame(header)
-                stats.payload_shm_bytes += len(payload)
-                control_len, payload_len = len(frame), 0
-            else:
-                frame = codec.pack_frame(header, payload)
-                control_len = len(frame) - len(payload)
-                payload_len = len(payload)
-            submitted: List[int] = []
-            for index, handle in enumerate(handles):
-                if index in failures:
-                    continue
-                try:
-                    handle.send_frame(frame)
-                except Exception as exc:  # noqa: BLE001 - collect-all contract
-                    failures[index] = exc
-                    continue
-                submitted.append(index)
-                stats.control_bytes += control_len
-                stats.payload_pipe_bytes += payload_len
-            for index in submitted:
-                try:
-                    values[index] = handles[index].collect()
-                except Exception as exc:  # noqa: BLE001 - collect-all contract
-                    failures[index] = exc
-            if seq is not None:
-                # Every worker has acknowledged (or failed); the slot bytes
-                # can never be read again, so reclaim them for the next round.
-                if view is not None:
-                    view.release()
-                self._ring.free(seq)  # type: ignore[union-attr]
-        outcomes = [
-            (values[index], failures.get(index)) for index in range(len(handles))
-        ]
-        return raise_first_failure(outcomes)  # type: ignore[return-value]

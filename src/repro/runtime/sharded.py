@@ -34,7 +34,7 @@ full query set — property-tested in ``tests/test_runtime_sharded.py``.
 Typical usage::
 
     monitor = ShardedMonitor(MonitorConfig(algorithm="mrio"), n_shards=4,
-                             policy="affinity", executor="threads")
+                             policy="affinity", executor="processes")
     monitor.register_queries(queries)
     for batch in BatchingStream(stream, max_batch=256):
         for update in monitor.process_batch(batch):
@@ -43,31 +43,30 @@ Typical usage::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.config import MonitorConfig
+from repro.core.monitor import MonitorSurface
 from repro.core.results import BatchUpdate, ResultEntry, ResultUpdate
-from repro.documents.document import Document
 from repro.exceptions import ConfigurationError
 from repro.metrics.counters import EventCounters
 from repro.obs.telemetry import Telemetry
 from repro.queries.query import Query
-from repro.runtime.executors import ShardExecutor, ThreadPoolShardExecutor, make_executor
+from repro.runtime.executors import ShardExecutor, make_executor
 from repro.runtime.routing import PartitionPolicy, QueryRouter, make_policy
 from repro.runtime.shard import EngineShard
-from repro.text.similarity import l2_normalize
 from repro.text.vectorizer import Vectorizer
-from repro.types import QueryId, SparseVector
+from repro.types import QueryId
 
 UpdateListener = Callable[[ResultUpdate], None]
 
 
-class ShardedMonitor:
+class ShardedMonitor(MonitorSurface):
     """Hosts continuous top-k queries on parallel engine shards.
 
     Example::
 
-        monitor = ShardedMonitor(n_shards=4, executor="threads")
+        monitor = ShardedMonitor(n_shards=4, executor="processes")
         query = monitor.register_vector({7: 0.8, 9: 0.6}, k=10)
         monitor.process_batch(batch)
         entries = monitor.top_k(query.query_id)
@@ -89,7 +88,6 @@ class ShardedMonitor:
         self._shards = self._spawn_shards(n_shards)
         self._router = QueryRouter(n_shards, make_policy(policy))
         self._listeners: List[UpdateListener] = []
-        self._next_query_id = 0
         #: Stream events processed, tracked here because every shard counts
         #: each event once (see the counters module docstring).
         self._documents_processed = 0
@@ -149,20 +147,9 @@ class ShardedMonitor:
         """Release executor workers (a no-op for the serial executor)."""
         self._executor.close()
 
-    def __enter__(self) -> "ShardedMonitor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
     # Query registration (ContinuousMonitor-compatible)
     # ------------------------------------------------------------------ #
-
-    def _take_query_id(self) -> QueryId:
-        query_id = self._next_query_id
-        self._next_query_id += 1
-        return query_id
 
     def register_query(self, query: Query) -> Query:
         """Register a fully formed :class:`Query` (caller-assigned id)."""
@@ -170,40 +157,6 @@ class ShardedMonitor:
         self._shards[shard].register(query)
         self._next_query_id = max(self._next_query_id, query.query_id + 1)
         return query
-
-    def register_queries(self, queries: Iterable[Query]) -> List[Query]:
-        return [self.register_query(query) for query in queries]
-
-    def register_vector(
-        self, vector: SparseVector, k: Optional[int] = None, user: Optional[str] = None
-    ) -> Query:
-        """Register a query from a (possibly unnormalized) sparse vector."""
-        query = Query(
-            query_id=self._take_query_id(),
-            vector=l2_normalize(vector),
-            k=k or self.config.default_k,
-            user=user,
-        )
-        return self.register_query(query)
-
-    def register_keywords(
-        self,
-        keywords: Iterable[str],
-        k: Optional[int] = None,
-        user: Optional[str] = None,
-    ) -> Query:
-        """Register a query from raw keywords (requires a vectorizer)."""
-        if self.vectorizer is None:
-            raise ConfigurationError(
-                "register_keywords requires a Vectorizer; pass one to the monitor"
-            )
-        vector = self.vectorizer.vectorize_keywords(keywords)
-        if not vector:
-            raise ConfigurationError(
-                "the supplied keywords produced an empty vector (all stopwords "
-                "or unknown terms)"
-            )
-        return self.register_vector(vector, k=k, user=user)
 
     def unregister(self, query_id: QueryId) -> Query:
         """Remove a continuous query from its shard."""
@@ -239,29 +192,6 @@ class ShardedMonitor:
         merged.sort(key=lambda update: update.query_id)
         return merged
 
-    def process_text(self, doc_id: int, text: str, arrival_time: float) -> List[ResultUpdate]:
-        """Vectorize raw text and process it (requires a vectorizer)."""
-        if self.vectorizer is None:
-            raise ConfigurationError(
-                "process_text requires a Vectorizer; pass one to the monitor"
-            )
-        vector = self.vectorizer.vectorize_text(text)
-        if not vector:
-            return []
-        document = Document(
-            doc_id=doc_id, vector=vector, arrival_time=arrival_time, text=text
-        )
-        return self.process(document)
-
-    def process_stream(self, documents, limit: Optional[int] = None) -> List[ResultUpdate]:
-        """Process a sequence (or bounded prefix) through the per-event path."""
-        updates: List[ResultUpdate] = []
-        for count, document in enumerate(documents):
-            if limit is not None and count >= limit:
-                break
-            updates.extend(self.process(document))
-        return updates
-
     def process_batch(self, documents: Sequence) -> List[BatchUpdate]:
         """Process an arrival-ordered batch on every shard in parallel.
 
@@ -280,13 +210,6 @@ class ShardedMonitor:
             merged.extend(updates)
         merged.sort(key=lambda update: update.query_id)
         return merged
-
-    def process_batches(self, batches: Iterable[Sequence]) -> List[BatchUpdate]:
-        """Drain an iterable of batches through :meth:`process_batch`."""
-        updates: List[BatchUpdate] = []
-        for batch in batches:
-            updates.extend(self.process_batch(batch))
-        return updates
 
     def renormalize(self, new_origin: float) -> float:
         """Rebase every shard's decay origin; returns the common factor.
@@ -462,15 +385,6 @@ class ShardedMonitor:
     # Crash-recovery adoption
     # ------------------------------------------------------------------ #
 
-    @property
-    def next_query_id(self) -> int:
-        """The id the next ``register_vector``/``register_keywords`` will use."""
-        return self._next_query_id
-
-    def ensure_next_query_id(self, minimum: int) -> None:
-        """Never auto-assign a query id below ``minimum`` (recovery hook)."""
-        self._next_query_id = max(self._next_query_id, minimum)
-
     def rebuild_router(self) -> None:
         """Rebuild the routing layer from the shards' current query sets.
 
@@ -541,7 +455,7 @@ class ShardedMonitor:
 
         snapshots: List[Dict[str, object]] = [
             codec.decode_monitor_state(
-                shard.snapshot_encoded(include_structures=False)
+                shard.snapshot_encoded(False)  # structures are rebuilt
             )
             for shard in self._shards
         ]
@@ -571,17 +485,11 @@ class ShardedMonitor:
 
         # Rebuild the shard set on the new topology.  A shard-resident
         # executor replaces its worker processes; otherwise fresh local
-        # shards are built (and the thread pool resized to match).
+        # shards are built.
         if self._executor.shard_resident:
             self._shards = self._executor.resize(new_n, self.config)  # type: ignore[attr-defined]
         else:
             self._shards = [EngineShard(i, self.config) for i in range(new_n)]
-            if (
-                isinstance(self._executor, ThreadPoolShardExecutor)
-                and self._executor.max_workers != new_n
-            ):
-                self._executor.close()
-                self._executor = make_executor(self._executor.name, new_n)
         if self._listeners:
             for shard in self._shards:
                 shard.capture_raw = True

@@ -1,7 +1,6 @@
-"""Small shared utilities: seeded RNG helpers, timers, validation, Zipf."""
+"""Small shared utilities: seeded RNG helpers, validation, Zipf."""
 
 from repro.utils.rng import make_rng
-from repro.utils.timer import Stopwatch
 from repro.utils.validation import (
     require,
     require_positive,
@@ -12,7 +11,6 @@ from repro.utils.zipf import ZipfSampler, zipf_weights
 
 __all__ = [
     "make_rng",
-    "Stopwatch",
     "require",
     "require_positive",
     "require_probability",

@@ -18,6 +18,7 @@ import os
 import signal
 import socket
 import threading
+import time
 
 import pytest
 
@@ -322,7 +323,11 @@ class TestWalShipping:
     """The shipping machinery itself, against an in-test subscriber."""
 
     def _standby_server(self, received, greet_lsn=0, acks=True):
-        """A minimal WAL subscriber: accepts one sender, records lsns."""
+        """A minimal WAL subscriber: accepts one sender, records lsns.
+
+        With ``acks=False`` it vanishes instead: the first record goes
+        un-acked and the accepted connection is dropped.
+        """
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.bind(("127.0.0.1", 0))
         listener.listen(1)
@@ -340,10 +345,11 @@ class TestWalShipping:
                     record = codec.unpack_line(bytes(tail))
                     assert record["lsn"] == header["l"]
                     received.append(int(header["l"]))
-                    if acks:
-                        frames.send_bytes(
-                            codec.pack_frame({"k": "ack", "l": int(header["l"])})
-                        )
+                    if not acks:
+                        return
+                    frames.send_bytes(
+                        codec.pack_frame({"k": "ack", "l": int(header["l"])})
+                    )
             except (EOFError, OSError):
                 pass
             finally:
@@ -410,8 +416,12 @@ class TestWalShipping:
             listener.close()
             # The subscriber never acks and then vanishes: the sender marks
             # itself failed and wakes waiters instead of blocking forever.
-            done.wait(timeout=5)
+            assert done.wait(timeout=5)
+            started = time.perf_counter()
             assert sender.wait_for(1, timeout=10.0) is False
+            assert time.perf_counter() - started < 2.0
+            assert sender.failed is True
+            assert received == [1]
         finally:
             sender.stop()
             wal.close()

@@ -211,16 +211,3 @@ class TestRunStatistics:
     def test_summary_without_batches_has_no_batch_keys(self):
         summary = RunStatistics("mrio", 1, 1, response_times=[0.001]).summary()
         assert not any(key.startswith("batch_") for key in summary)
-
-    def test_pure_python_percentile_matches_numpy(self):
-        """The numpy-free fallback computes numpy's exact linear interpolation."""
-        np = pytest.importorskip("numpy")
-        from repro.metrics.runstats import _percentile
-
-        rng = __import__("random").Random(11)
-        for size in (1, 2, 3, 17, 100):
-            values = sorted(rng.uniform(0.0, 5.0) for _ in range(size))
-            for q in (0, 25, 50, 90, 95, 99, 100):
-                assert _percentile(values, q) == pytest.approx(
-                    float(np.percentile(values, q)), rel=1e-12, abs=1e-15
-                )

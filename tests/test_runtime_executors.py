@@ -7,18 +7,16 @@ raised.  Two historical bugs motivated it:
 * ``SerialExecutor`` aborted the fan-out at the first failing task, leaving
   later shards un-run — after a failed batch, shard states diverged from
   what the pooled executors produced;
-* ``ThreadPoolShardExecutor`` raised out of the first failed *future* while
-  sibling futures were still mutating shard state — the caller observed an
-  exception over a moving fan-out.
+* a pooled executor raised out of the first failed task while its siblings
+  were still mutating shard state — the caller observed an exception over a
+  moving fan-out.
 
-All three flavours (serial / threads / processes) are held to the same
-semantics here.
+Both flavours (serial / pipelined resident shards) are held to the same
+semantics here; the pipelined loop is exercised in-process over fake
+handles and end to end through the process executor.
 """
 
 from __future__ import annotations
-
-import threading
-import time
 
 import pytest
 
@@ -31,8 +29,9 @@ from repro.exceptions import (
 from repro.queries.query import Query
 from repro.runtime.executors import (
     SerialExecutor,
-    ThreadPoolShardExecutor,
     make_executor,
+    pipeline,
+    raise_first_failure,
 )
 from repro.runtime.procpool import ProcessShardExecutor
 
@@ -81,47 +80,72 @@ class TestSerialExecutor:
         ]
 
 
-class TestThreadPoolExecutor:
+class FakeHandle:
+    """A resident-shard handle stand-in: records the order of its halves."""
+
+    def __init__(self, log, name, submit_error=None, collect_error=None):
+        self.log, self.name = log, name
+        self.submit_error, self.collect_error = submit_error, collect_error
+
+    def submit(self):
+        self.log.append(("submit", self.name))
+        if self.submit_error is not None:
+            raise self.submit_error
+
+    def collect(self):
+        self.log.append(("collect", self.name))
+        if self.collect_error is not None:
+            raise self.collect_error
+        return self.name
+
+
+def _fan_out(handles):
+    failures = {}
+    values = pipeline(handles, lambda handle: handle.submit(), failures)
+    return raise_first_failure(values, failures)
+
+
+class TestPipelinedFanOut:
     def test_failure_waits_for_sibling_tasks(self):
-        """No exception escapes while another shard task is still running."""
-        finished = threading.Event()
-
-        def slow_sibling():
-            time.sleep(0.2)
-            finished.set()
-            return "done"
-
-        def fail_fast():
-            raise BoomA("immediate")
-
-        with ThreadPoolShardExecutor(max_workers=2) as executor:
-            with pytest.raises(BoomA):
-                executor.run([fail_fast, slow_sibling])
-            # The bug: run() raised while slow_sibling was still mutating
-            # state.  Under the fixed contract the sibling completed before
-            # the exception reached us.
-            assert finished.is_set()
+        """No exception escapes while another shard's reply is uncollected."""
+        log = []
+        handles = [
+            FakeHandle(log, 0, collect_error=BoomA("immediate")),
+            FakeHandle(log, 1),
+        ]
+        with pytest.raises(BoomA):
+            _fan_out(handles)
+        # Every submit precedes every collect, and the healthy sibling was
+        # driven to completion before the exception reached us.
+        assert log == [("submit", 0), ("submit", 1), ("collect", 0), ("collect", 1)]
 
     def test_first_exception_in_task_order_wins_not_first_in_time(self):
-        def slow_low_index():
-            time.sleep(0.2)
-            raise BoomA("task 0, finishes last")
+        log = []
+        handles = [
+            FakeHandle(log, 0, collect_error=BoomA("task 0, fails last")),
+            FakeHandle(log, 1, submit_error=BoomB("task 1, fails first in time")),
+        ]
+        with pytest.raises(BoomA):
+            _fan_out(handles)
+        # A handle whose submit failed has no reply to wait for.
+        assert ("collect", 1) not in log
 
-        def fast_high_index():
-            raise BoomB("task 1, fails first in wall-clock time")
-
-        with ThreadPoolShardExecutor(max_workers=2) as executor:
-            with pytest.raises(BoomA):
-                executor.run([slow_low_index, fast_high_index])
-
-    def test_single_task_fast_path_still_raises(self):
-        with ThreadPoolShardExecutor(max_workers=2) as executor:
-            with pytest.raises(BoomA):
-                executor.run([lambda: (_ for _ in ()).throw(BoomA("solo"))])
+    def test_single_task_still_raises(self):
+        with pytest.raises(BoomA):
+            _fan_out([FakeHandle([], 0, collect_error=BoomA("solo"))])
 
     def test_results_in_task_order(self):
-        with ThreadPoolShardExecutor(max_workers=4) as executor:
-            assert executor.run([lambda i=i: i for i in range(8)]) == list(range(8))
+        assert _fan_out([FakeHandle([], i) for i in range(8)]) == list(range(8))
+
+    def test_failed_handles_sit_out_later_rounds(self):
+        log = []
+        handles = [FakeHandle(log, 0), FakeHandle(log, 1)]
+        failures = {0: BoomA("failed an earlier round")}
+        values = pipeline(handles, lambda handle: handle.submit(), failures)
+        assert values == [None, 1]
+        assert log == [("submit", 1), ("collect", 1)]
+        with pytest.raises(BoomA):
+            raise_first_failure(values, failures)
 
 
 class TestProcessExecutor:
@@ -196,11 +220,18 @@ class TestShardResidentTopology:
 class TestMakeExecutor:
     def test_resolves_all_three_names(self):
         assert make_executor("serial", 2).name == "serial"
-        threads = make_executor("threads", 2)
-        assert threads.name == "threads" and threads.max_workers == 2
         processes = make_executor("processes", 2)
         assert processes.name == "processes" and processes.n_shards == 2
         assert processes.shard_resident
+        remote = make_executor("remote", 2)
+        assert remote.name == "remote" and remote.n_shards == 2
+        assert remote.shard_resident
+
+    def test_thread_pool_name_is_gone_and_transports_are_forced_by_instance(self):
+        with pytest.raises(ConfigurationError, match="serial"):
+            make_executor("threads", 2)
+        pipe = ProcessShardExecutor(2, transport="pipe")
+        assert make_executor(pipe, 2) is pipe
 
     def test_unknown_name_lists_the_choices(self):
         with pytest.raises(ConfigurationError, match="processes"):

@@ -24,6 +24,7 @@ import pytest
 from repro.core.config import MonitorConfig
 from repro.exceptions import StreamError, WorkerError
 from repro.persistence.durable import DurabilityConfig, DurableMonitor
+from repro.runtime.procpool import ProcessShardExecutor
 from repro.runtime.sharded import ShardedMonitor
 
 PROCESS_SHARD_COUNTS = (2, 4)
@@ -46,9 +47,10 @@ ALGORITHM_CONFIGS = [
 ]
 
 #: Both batch transports: "processes" resolves to the shared-memory ring
-#: (when the host has one), "processes-pipe" forces the framed-pipe
-#: fallback — the differential grid must hold bit-for-bit under either.
-PROCESS_EXECUTORS = ("processes", "processes-pipe")
+#: (when the host has one), "pipe" forces the framed-pipe fallback by
+#: executor instance (see ``_run``) — the differential grid must hold
+#: bit-for-bit under either.
+PROCESS_EXECUTORS = ("processes", "pipe")
 
 
 def _config(overrides, **extra):
@@ -56,6 +58,8 @@ def _config(overrides, **extra):
 
 
 def _run(config, queries, documents, n_shards, executor):
+    if executor == "pipe":
+        executor = ProcessShardExecutor(n_shards, transport="pipe")
     monitor = ShardedMonitor(config, n_shards=n_shards, executor=executor)
     monitor.register_queries(queries)
     per_batch = []
@@ -245,7 +249,7 @@ class TestProcessShardEquivalence:
 class TestFailureSemantics:
     """State after a failed fan-out is identical across executor flavours."""
 
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
     def test_stale_document_rejected_identically(
         self, executor, small_queries, small_documents
     ):
@@ -426,7 +430,9 @@ class TestSharedMemoryTransport:
             _config({"algorithm": "mrio"}), n_shards=2, executor="processes"
         )
         pipe_monitor = ShardedMonitor(
-            _config({"algorithm": "mrio"}), n_shards=2, executor="processes-pipe"
+            _config({"algorithm": "mrio"}),
+            n_shards=2,
+            executor=ProcessShardExecutor(2, transport="pipe"),
         )
         serial_monitor = ShardedMonitor(
             _config({"algorithm": "mrio"}), n_shards=2, executor="serial"

@@ -4,19 +4,14 @@ through."""
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.core.config import MonitorConfig
 from repro.core.factory import available_algorithms, create_algorithm
 from repro.core.registry import register_algorithm, unregister_algorithm
 from repro.exceptions import ConfigurationError, UnknownQueryError
-from repro.runtime.executors import (
-    SerialExecutor,
-    ThreadPoolShardExecutor,
-    make_executor,
-)
+from repro.runtime.executors import SerialExecutor, make_executor
+from repro.runtime.procpool import ProcessShardExecutor
 from repro.runtime.routing import (
     HashPartitionPolicy,
     QueryRouter,
@@ -123,38 +118,20 @@ class TestExecutors:
         executor = SerialExecutor()
         assert executor.run([lambda i=i: i * i for i in range(5)]) == [0, 1, 4, 9, 16]
 
-    def test_threads_preserve_order_and_run_concurrently(self):
-        executor = ThreadPoolShardExecutor(max_workers=4)
-        seen = set()
-
-        def task(i):
-            seen.add(threading.get_ident())
-            return i * i
-
-        try:
-            results = executor.run([lambda i=i: task(i) for i in range(16)])
-            assert results == [i * i for i in range(16)]
-            assert seen  # ran somewhere; worker count is scheduler-dependent
-        finally:
-            executor.close()
-
-    def test_threads_propagate_exceptions(self):
-        executor = ThreadPoolShardExecutor(max_workers=2)
+    def test_serial_propagates_exceptions(self):
+        executor = SerialExecutor()
 
         def boom():
             raise RuntimeError("shard failure")
 
-        try:
-            with pytest.raises(RuntimeError, match="shard failure"):
-                executor.run([lambda: 1, boom])
-        finally:
-            executor.close()
+        with pytest.raises(RuntimeError, match="shard failure"):
+            executor.run([lambda: 1, boom])
 
     def test_make_executor(self):
         assert isinstance(make_executor("serial", 4), SerialExecutor)
-        threads = make_executor("threads", 4)
-        assert isinstance(threads, ThreadPoolShardExecutor)
-        assert threads.max_workers == 4
+        processes = make_executor("processes", 4)
+        assert isinstance(processes, ProcessShardExecutor)
+        assert processes.n_shards == 4
         with pytest.raises(ConfigurationError):
             make_executor("fibers", 4)
 
@@ -245,20 +222,20 @@ class TestAlgorithmRegistry:
 
 class TestShardedMonitorSurface:
     def test_describe_reports_topology(self):
-        monitor = ShardedMonitor(n_shards=3, policy="affinity", executor="threads")
+        monitor = ShardedMonitor(n_shards=3, policy="affinity", executor="serial")
         monitor.register_vector({1: 1.0}, k=2)
         info = monitor.describe()
         assert info["runtime"] == "sharded"
         assert info["n_shards"] == 3
         assert info["policy"] == "affinity"
-        assert info["executor"] == "threads"
+        assert info["executor"] == "serial"
         assert sum(info["shard_loads"]) == 1
         monitor.close()
 
     def test_context_manager_closes_executor(self):
-        with ShardedMonitor(n_shards=2, executor="threads") as monitor:
+        with ShardedMonitor(n_shards=2, executor="processes") as monitor:
             monitor.register_vector({1: 1.0}, k=1)
-        assert monitor._executor._pool is None  # closed
+        assert monitor._executor._handles is None  # closed
 
     def test_invalid_topology_rejected(self):
         with pytest.raises(ConfigurationError):

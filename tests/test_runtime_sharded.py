@@ -32,7 +32,9 @@ from repro.metrics.counters import EventCounters
 from repro.runtime.sharded import ShardedMonitor
 
 SHARD_COUNTS = (1, 2, 4)
-EXECUTORS = ("serial", "threads")
+#: In-process grid; the process executor runs the same grid against the
+#: serial runtime in ``tests/test_runtime_procpool.py``.
+EXECUTORS = ("serial",)
 
 #: Every registered algorithm (MRIO under all three zone-bound variants).
 ALGORITHM_CONFIGS = [
@@ -104,7 +106,7 @@ def _assert_identical_state(single, sharded, queries, exact=True, label=""):
 
 
 class TestShardedEquivalence:
-    """ShardedMonitor × {1, 2, 4} shards × {serial, threads} ≡ ContinuousMonitor."""
+    """ShardedMonitor × {1, 2, 4} shards (serial executor) ≡ ContinuousMonitor."""
 
     @pytest.mark.parametrize("overrides", ALGORITHM_CONFIGS)
     def test_batched_ingestion_matches_single_monitor(
@@ -180,12 +182,12 @@ class TestShardedEquivalence:
         sharded_cfg = MonitorConfig(lam=0.5, max_amplification=100.0, **config)
         single, _ = _run_single(single_cfg, small_queries, small_documents)
         assert single.algorithm.decay.origin > 0.0  # renormalization happened
-        sharded, _ = _run_sharded(sharded_cfg, small_queries, small_documents, 4, "threads")
+        sharded, _ = _run_sharded(sharded_cfg, small_queries, small_documents, 4, "serial")
         for shard in sharded.shards:
             assert shard.algorithm.decay.origin == single.algorithm.decay.origin
         _assert_identical_state(single, sharded, small_queries, exact=True)
 
-    @pytest.mark.parametrize("executor", ("serial", "threads", "processes"))
+    @pytest.mark.parametrize("executor", ("serial", "processes"))
     def test_failed_ingestion_matches_single_monitor(
         self, executor, small_queries, small_documents
     ):
@@ -256,7 +258,7 @@ class TestMergedView:
         single_seen = []
         single.add_update_listener(single_seen.append)
 
-        sharded = ShardedMonitor(_config({"algorithm": "mrio"}), n_shards=3, executor="threads")
+        sharded = ShardedMonitor(_config({"algorithm": "mrio"}), n_shards=3, executor="processes")
         sharded.register_queries(small_queries)
         sharded_seen = []
         sharded.add_update_listener(sharded_seen.append)
@@ -277,7 +279,7 @@ class TestMergedView:
 
     def test_batch_updates_ordered_by_query_id(self, small_queries, small_documents):
         sharded, per_batch = _run_sharded(
-            _config({"algorithm": "mrio"}), small_queries, small_documents, 4, "threads"
+            _config({"algorithm": "mrio"}), small_queries, small_documents, 4, "processes"
         )
         for updates in per_batch:
             ids = [update.query_id for update in updates]

@@ -27,7 +27,7 @@ from repro.runtime.sharded import ShardedMonitor
 
 BATCH = 8
 LAM = 1e-3
-EXECUTORS = ("serial", "threads", "processes")
+EXECUTORS = ("serial", "processes")
 
 
 def _config(**extra) -> MonitorConfig:

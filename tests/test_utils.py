@@ -1,6 +1,4 @@
-"""Unit tests for the utility helpers (rng, timer, validation, zipf)."""
-
-import time
+"""Unit tests for the utility helpers (rng, validation, zipf)."""
 
 import numpy as np
 import pytest
@@ -8,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import derive_seed, make_rng, spawn_rng
-from repro.utils.timer import LapTimer, Stopwatch
 from repro.utils.validation import (
     require,
     require_non_negative,
@@ -39,42 +36,6 @@ class TestRng:
         assert derive_seed(None, 5) is None
         assert derive_seed(10, 5) == derive_seed(10, 5)
         assert derive_seed(10, 5) != derive_seed(10, 6)
-
-
-class TestStopwatch:
-    def test_accumulates_time(self):
-        stopwatch = Stopwatch()
-        stopwatch.start()
-        time.sleep(0.01)
-        elapsed = stopwatch.stop()
-        assert elapsed >= 0.005
-
-    def test_context_manager(self):
-        stopwatch = Stopwatch()
-        with stopwatch:
-            time.sleep(0.005)
-        assert stopwatch.elapsed > 0.0
-        assert not stopwatch.running
-
-    def test_reset(self):
-        stopwatch = Stopwatch()
-        with stopwatch:
-            pass
-        stopwatch.reset()
-        assert stopwatch.elapsed == 0.0
-
-    def test_lap_timer(self):
-        laps = LapTimer()
-        for _ in range(3):
-            laps.lap_start()
-            laps.lap_stop()
-        assert laps.count == 3
-        assert laps.total >= 0.0
-        assert laps.mean >= 0.0
-
-    def test_lap_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            LapTimer().lap_stop()
 
 
 class TestValidation:
