@@ -1,11 +1,10 @@
-"""The shard-host role: one `EngineShard` served over codec frames on a socket.
+"""The shard host: one engine host served over codec frames on a socket.
 
 A shard host is the cluster-process twin of :func:`repro.runtime.procpool
-._shard_worker_main`: it owns one :class:`~repro.runtime.shard.EngineShard`
-and serves it with the same routine (:class:`repro.runtime.protocol
-.ShardServer` — one command table, one frame format) — but listens on a TCP
-socket (so the router can live on another box) and adds the durability and
-replication duties a cluster member has:
+._shard_worker_main`: it owns one :class:`~repro.core.monitor.ContinuousMonitor`
+and serves it with the same routine (:class:`repro.runtime.protocol.ShardServer`
+— one command table, one frame format) — but listens on a TCP socket (so the
+router can live on another box) and adds a cluster member's duties:
 
 * **Apply-then-journal.**  The engine runs every mutating command first;
   only an *accepted* command is appended to the host's WAL and offered to
@@ -48,6 +47,7 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MonitorConfig
+from repro.core.monitor import ContinuousMonitor
 from repro.exceptions import WorkerError
 from repro.persistence import codec
 from repro.persistence.replication import ReplicaApplier
@@ -55,7 +55,6 @@ from repro.persistence.wal import WriteAheadLog
 from repro.cluster.replication import ReplicationSender
 from repro.cluster.transport import DEFAULT_MAX_FRAME_BYTES, FrameSocket
 from repro.runtime.protocol import WAL_COMMANDS, ShardCommand, ShardServer
-from repro.runtime.shard import EngineShard
 
 #: Connection roles (the first frame of every connection names one).
 ROLE_CONTROL = "ctl"
@@ -89,7 +88,8 @@ class ShardHost:
     ) -> None:
         self.shard_id = shard_id
         self.options = options or HostOptions()
-        self._shard = EngineShard(shard_id, config)
+        self._shard = ContinuousMonitor(config)
+        self._shard.shard_id = shard_id
         self._shard.capture_renorms = True
         # One lock serializes shard + WAL access across control connections,
         # the replication receive loop and promotion.

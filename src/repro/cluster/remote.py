@@ -42,7 +42,7 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.core.config import MonitorConfig
 from repro.exceptions import ConfigurationError, WorkerError
 from repro.persistence import codec
-from repro.cluster.host import ROLE_CONTROL, HostOptions
+from repro.cluster.host import ROLE_CONTROL, HostOptions, ShardHost
 from repro.cluster.transport import DEFAULT_MAX_FRAME_BYTES, FrameSocket
 from repro.runtime.procpool import (
     ProcessShardHandle,
@@ -53,16 +53,13 @@ from repro.runtime.protocol import COMMANDS, ERR
 
 
 def _shard_host_main(conn, shard_id, config, options, bind_host) -> None:
-    """Process entry point: run the shard-host role, report the bound port."""
-    from repro.service.server import serve_shard_host
+    """Process entry point: serve one shard host, report the bound port."""
 
     def report(address) -> None:
         conn.send(address)
         conn.close()
 
-    serve_shard_host(
-        shard_id, config, options=options, host=bind_host, on_ready=report
-    )
+    ShardHost(shard_id, config, options).serve(host=bind_host, on_ready=report)
 
 
 class _TransportDead(Exception):
@@ -113,7 +110,7 @@ class _Pending(NamedTuple):
 class RemoteShardHandle(ProcessShardHandle):
     """Stable proxy for one partition: a primary host + its hot standbys.
 
-    Inherits the full :class:`EngineShard` mirror from
+    Inherits the full engine-host mirror from
     :class:`ProcessShardHandle`; only the protocol plumbing is replaced —
     frames ride a :class:`FrameSocket`, mutating commands feed the redo
     queue, and a dead primary is replaced by a promoted standby inside

@@ -4,7 +4,10 @@
 it owns the processing algorithm (MRIO by default), the decay model, the
 optional window-expiration manager and — when a vectorizer is supplied — the
 text pipeline that turns user keywords and raw document text into normalized
-vectors.
+vectors.  It is also the one engine host: every shard of a
+:class:`~repro.runtime.sharded.ShardedMonitor` — in-process, in a worker
+process, in a cluster host — is a :class:`ContinuousMonitor` with a
+``shard_id``, driven through :data:`repro.runtime.protocol.COMMANDS`.
 
 Typical usage::
 
@@ -24,9 +27,9 @@ High-throughput ingestion goes through the batch fast path instead::
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.base import StreamAlgorithm, UpdateListener
+from repro.core.base import RenormalizeListener, StreamAlgorithm, UpdateListener
 from repro.core.config import MonitorConfig
 from repro.core.expiration import ExpirationManager
 from repro.core.factory import create_algorithm
@@ -158,6 +161,9 @@ class ContinuousMonitor(MonitorSurface):
         entries = monitor.top_k(query.query_id)    # best first
     """
 
+    #: Position in a sharded monitor's shard list (``None`` = not a shard).
+    shard_id: Optional[int] = None
+
     def __init__(
         self,
         config: Optional[MonitorConfig] = None,
@@ -182,6 +188,13 @@ class ContinuousMonitor(MonitorSurface):
         if self.config.window_horizon is not None:
             self._expiration = ExpirationManager(self.algorithm, self.config.window_horizon)
             self.algorithm.add_update_listener(self._expiration.on_result_update)
+        # Event capture for a hosting facade or serving loop.  ``None`` =
+        # never switched on: the engine listener is attached on first use,
+        # so an uncaptured engine keeps an empty listener list.
+        self._capture_raw: Optional[bool] = None
+        self._capture_renorms: Optional[bool] = None
+        self._raw_buffer: List[ResultUpdate] = []
+        self._renorm_buffer: List[Tuple[float, float]] = []
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -208,6 +221,10 @@ class ContinuousMonitor(MonitorSurface):
     def unregister(self, query_id: QueryId) -> Query:
         """Remove a continuous query from the monitor."""
         return self.algorithm.unregister(query_id)
+
+    @property
+    def queries(self) -> Dict[QueryId, Query]:
+        return self.algorithm.queries
 
     @property
     def num_queries(self) -> int:
@@ -259,7 +276,9 @@ class ContinuousMonitor(MonitorSurface):
         return self.algorithm.threshold(query_id)
 
     def all_results(self) -> Dict[QueryId, List[ResultEntry]]:
-        """A snapshot of every query's current result."""
+        """A snapshot of every query's current result (one call, not one
+        per query — a single round trip when the host lives in a worker).
+        """
         return {
             query_id: self.algorithm.top_k(query_id)
             for query_id in self.algorithm.queries
@@ -268,6 +287,62 @@ class ContinuousMonitor(MonitorSurface):
     def add_update_listener(self, listener: UpdateListener) -> None:
         """Register a callback invoked for every result update."""
         self.algorithm.add_update_listener(listener)
+
+    def add_renormalize_listener(self, listener: RenormalizeListener) -> None:
+        """Register a callback invoked after every decay rebase (on the
+        host surface so process-resident shards can forward rebases).
+        """
+        self.algorithm.add_renormalize_listener(listener)
+
+    @property
+    def capture_raw(self) -> bool:
+        """When True, raw per-event updates are buffered for the hosting
+        facade's listeners (drained with :meth:`drain_raw_updates`).
+        """
+        return bool(self._capture_raw)
+
+    @capture_raw.setter
+    def capture_raw(self, enabled: bool) -> None:
+        if self._capture_raw is None:
+            if not enabled:
+                return  # never switched on: no listener to silence
+            self.algorithm.add_update_listener(self._on_raw_update)
+        self._capture_raw = enabled
+
+    def _on_raw_update(self, update: ResultUpdate) -> None:
+        if self._capture_raw:
+            self._raw_buffer.append(update)
+
+    def drain_raw_updates(self) -> List[ResultUpdate]:
+        """The raw updates buffered since the last drain (in emission order)."""
+        drained = self._raw_buffer
+        self._raw_buffer = []
+        return drained
+
+    @property
+    def capture_renorms(self) -> bool:
+        """When True, decay rebase notifications are buffered for draining —
+        the serving loops ship them with each framed reply.
+        """
+        return bool(self._capture_renorms)
+
+    @capture_renorms.setter
+    def capture_renorms(self, enabled: bool) -> None:
+        if self._capture_renorms is None:
+            if not enabled:
+                return
+            self.algorithm.add_renormalize_listener(self._on_renormalize)
+        self._capture_renorms = enabled
+
+    def _on_renormalize(self, origin: float, factor: float) -> None:
+        if self._capture_renorms:
+            self._renorm_buffer.append((origin, factor))
+
+    def drain_renormalizations(self) -> List[Tuple[float, float]]:
+        """The (origin, factor) rebases buffered since the last drain."""
+        drained = self._renorm_buffer
+        self._renorm_buffer = []
+        return drained
 
     @property
     def statistics(self) -> EventCounters:
@@ -314,21 +389,46 @@ class ContinuousMonitor(MonitorSurface):
         """
         return self.algorithm.renormalize(new_origin)
 
+    def reset_statistics(self) -> None:
+        """Zero the counters and timing samples (e.g. after a warm-up phase)."""
+        self.algorithm.counters.reset()
+        self.algorithm.response_times.clear()
+        self.algorithm.batch_response_times.clear()
+        self.algorithm.telemetry.reset()
+
     def describe(self) -> Dict[str, object]:
         info = self.algorithm.describe()
         info["window_horizon"] = self.config.window_horizon
+        if self.shard_id is not None:
+            info["shard_id"] = self.shard_id
         return info
 
+    def facade_state(self) -> Dict[str, object]:
+        """What a durable sidecar records beside the hosts' checkpoints.  A
+        lone host's event count and counters live in its engine: nothing.
+        """
+        return {
+            "documents_processed": 0,
+            "retired_counters": EventCounters().snapshot(),
+        }
+
+    def adopt_facade_state(self, state: Dict[str, object], replayed_documents: int) -> None:
+        """Reinstate a recovered :meth:`facade_state` (nothing to do here)."""
+
     # ------------------------------------------------------------------ #
-    # Snapshot / restore
+    # Snapshot / restore, and the codec-encoded state movers
     # ------------------------------------------------------------------ #
+    #
+    # One state shape (the flat dict of :meth:`snapshot`) and one encoding of
+    # it (the persistence codec's): a state rebalanced between shards, moved
+    # across a process boundary or read from a checkpoint is bit-for-bit the
+    # same thing.  (Function-level codec imports: persistence imports us.)
 
     def snapshot(self) -> Dict[str, object]:
         """Capture the full engine state (plus the live window if any).
 
-        The capture is what the sharded runtime moves between engine shards
-        when rebalancing; restoring it into a fresh monitor resumes the
-        stream exactly where this one stopped.
+        Restoring it into a fresh monitor resumes the stream exactly where
+        this one stopped.
         """
         state = self.algorithm.snapshot()
         if self._expiration is not None:
@@ -344,3 +444,36 @@ class ContinuousMonitor(MonitorSurface):
             (query_id + 1 for query_id in self.algorithm.queries),
             default=self._next_query_id,
         )
+
+    def snapshot_encoded(self, include_structures: bool = True) -> Dict[str, object]:
+        """The full state in the persistence codec's encoded form — exactly
+        what a checkpoint stores.  ``include_structures=False`` drops the
+        algorithm-specific structure captures for the rebalance adopt path,
+        which rebuilds structures anyway (their O(memo) encode is wasted).
+        """
+        from repro.persistence import codec
+
+        state = self.snapshot()
+        if not include_structures:
+            state.pop("structures", None)
+        return codec.encode_monitor_state(state)
+
+    def restore_encoded(self, encoded: Dict[str, object]) -> None:
+        """Restore a :meth:`snapshot_encoded` capture (or a checkpoint)."""
+        from repro.persistence import codec
+
+        self.restore(codec.decode_monitor_state(encoded))
+
+    def adopt_encoded(self, encoded: Dict[str, object]) -> None:
+        """Adopt an encoded partition capture into this (fresh) host: the
+        slice the sharded facade cuts from the merged rebalance capture —
+        the partition's queries and result heaps, the common decay/stream
+        clock and (optionally) the live window, restored *after* the
+        results so the holder map reflects the adopted partition only.
+        """
+        from repro.persistence import codec
+
+        state = codec.decode_monitor_state(encoded)
+        self.algorithm.restore_queries(state["queries"], state)  # type: ignore[arg-type]
+        if self._expiration is not None and "expiration" in state:
+            self._expiration.restore(state["expiration"])  # type: ignore[arg-type]

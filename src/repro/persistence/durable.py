@@ -1,21 +1,23 @@
 """The durable monitoring facade: a monitor that survives being killed.
 
-:class:`DurableMonitor` wraps a :class:`~repro.core.monitor.ContinuousMonitor`
-(or, with ``n_shards > 1``, a :class:`~repro.runtime.sharded.ShardedMonitor`)
-and journals every state-changing operation — document arrivals, ingestion
-batches, query registration/unregistration, explicit decay rebases — to a
-write-ahead log before taking periodic checkpoints from the in-memory
-snapshot hooks.  Killing the process at an arbitrary event and calling
+:class:`DurableMonitor` runs one WAL/checkpoint/sidecar procedure over a list
+of engine hosts: the one :class:`~repro.core.monitor.ContinuousMonitor` it
+wraps or, with ``n_shards > 1``, the shards of a
+:class:`~repro.runtime.sharded.ShardedMonitor` (``ContinuousMonitor``s too, or
+handles onto them).  It journals every state-changing operation — document
+arrivals, ingestion batches, query registration/unregistration, explicit decay
+rebases — to a write-ahead log before taking periodic checkpoints from the
+hosts' snapshot hooks.  Killing the process at an arbitrary event and calling
 :meth:`DurableMonitor.recover` reproduces the state of the longest durable
 log prefix *byte-identically*: top-k sets, scores, thresholds, decay origin,
 live window and work counters all match an uninterrupted run.
 
-Sharded monitors keep **one WAL and one checkpoint directory per shard**,
-each carrying the full record sequence with identical LSNs.  Recovery
-restores every shard independently (trivially parallelizable across
-processes) and clamps all shards to the shortest durable prefix, so a crash
-mid-fan-out can never leave shards at different stream positions.  A tiny
-facade sidecar — written atomically after each checkpoint round — serves as
+There is **one WAL and one checkpoint directory per host**, each carrying
+the full record sequence with identical LSNs.  Recovery hands every host its
+encoded checkpoint (``restore_encoded`` — decoded once, where the host
+lives), replays its WAL tail and clamps all hosts to the shortest durable
+prefix, so a crash mid-fan-out can never leave shards at different positions.
+A tiny facade sidecar — written atomically after each checkpoint round — is
 the round's commit marker and carries the facade-level statistics.
 
 On-disk layout under ``DurabilityConfig.directory``::
@@ -48,13 +50,10 @@ from repro.exceptions import (
 from repro.metrics.counters import EventCounters
 from repro.persistence import codec
 from repro.persistence.checkpoint import CheckpointManager
-from repro.persistence.recovery import (
-    RecoveryReport,
-    recover_engine,
-    scan_facade_state,
-)
+from repro.persistence.recovery import RecoveryReport, recover_engine
 from repro.persistence.wal import WriteAheadLog, atomic_write
 from repro.queries.query import Query
+from repro.runtime.executors import SerialExecutor, ShardExecutor
 from repro.runtime.protocol import COMMANDS, WAL_COMMANDS
 from repro.runtime.sharded import ShardedMonitor
 from repro.types import QueryId
@@ -126,16 +125,6 @@ class DurabilityConfig:
             )
 
 
-def _decode_shard_state(encoded: Dict[str, object]) -> Dict[str, object]:
-    """Encoded checkpoint -> the nested shape ``EngineShard.restore`` takes."""
-    state = codec.decode_monitor_state(encoded)
-    wrapped: Dict[str, object] = {}
-    if "expiration" in state:
-        wrapped["expiration"] = state.pop("expiration")
-    wrapped["engine"] = state
-    return wrapped
-
-
 class DurableMonitor(MonitorSurface):
     """A crash-safe monitor: WAL + checkpoints around the in-memory engine.
 
@@ -172,47 +161,49 @@ class DurableMonitor(MonitorSurface):
             )
         os.makedirs(root, exist_ok=True)
 
-        self._sharded = n_shards > 1
-        if self._sharded:
-            self._inner: Union[ContinuousMonitor, ShardedMonitor] = ShardedMonitor(
+        # Single mode is the one-element case of the host list: the layout
+        # differs (state at the root vs under shard-NNNN/), and ``_facade``
+        # — the wrapped monitor when it is the sharded one, else ``None`` —
+        # is the one flag that tells the two classes apart.
+        self._facade: Optional[ShardedMonitor] = None
+        if n_shards > 1:
+            self._facade = ShardedMonitor(
                 self.config,
                 n_shards=n_shards,
                 policy=policy,
                 executor=executor,
                 vectorizer=vectorizer,
             )
-            shard_dirs = [
+            self._inner: Union[ContinuousMonitor, ShardedMonitor] = self._facade
+            # The facade keeps its executor for life (a rebalance resizes it
+            # in place), unlike its shard set — see :attr:`_hosts`.
+            self._executor: ShardExecutor = self._facade.executor
+            host_dirs = [
                 os.path.join(root, f"shard-{index:04d}") for index in range(n_shards)
             ]
         else:
             self._inner = ContinuousMonitor(self.config, vectorizer=vectorizer)
-            shard_dirs = [root]
-        self._wals = [
-            WriteAheadLog(
-                os.path.join(shard_dir, "wal"),
-                group_commit=durability.group_commit,
-                segment_max_bytes=durability.segment_max_bytes,
-                fsync=durability.fsync,
-            )
-            for shard_dir in shard_dirs
-        ]
+            self._executor = SerialExecutor()
+            host_dirs = [root]
         # Router-side WALs report flush/fsync latency into the engine
         # telemetry they journal for.  Shard-resident executors expose
         # handles without a local recorder — their WAL ownership moves into
         # the workers, which wire telemetry up on their own side.
-        if self._sharded:
-            for wal, shard in zip(self._wals, self._inner.shards):  # type: ignore[union-attr]
-                telemetry = getattr(shard, "telemetry", None)
-                if telemetry is not None:
-                    wal.telemetry = telemetry
-        else:
-            for wal in self._wals:
-                wal.telemetry = self._inner.telemetry  # type: ignore[union-attr]
+        self._wals = [
+            WriteAheadLog(
+                os.path.join(host_dir, "wal"),
+                group_commit=durability.group_commit,
+                segment_max_bytes=durability.segment_max_bytes,
+                fsync=durability.fsync,
+                telemetry=getattr(host, "telemetry", None),
+            )
+            for host_dir, host in zip(host_dirs, self._hosts)
+        ]
         self._checkpoints = [
             CheckpointManager(
-                os.path.join(shard_dir, "checkpoints"), fsync=durability.fsync
+                os.path.join(host_dir, "checkpoints"), fsync=durability.fsync
             )
-            for shard_dir in shard_dirs
+            for host_dir in host_dirs
         ]
         #: LSN of the most recently journaled record (positioned by
         #: :meth:`_begin_journaling`).  Tracked here because this facade
@@ -236,7 +227,16 @@ class DurableMonitor(MonitorSurface):
         if not _recovering:
             self._write_meta(meta_path)
             self._begin_journaling()
-            self._attach_renormalize_listener()
+
+    @property
+    def _hosts(self) -> Sequence[ContinuousMonitor]:
+        """The engine hosts — the lone monitor, or the facade's *current*
+        shards (a rebalance replaces the shard set, so never cache this).
+        """
+        if self._facade is not None:
+            return self._facade.shards
+        assert isinstance(self._inner, ContinuousMonitor)
+        return [self._inner]
 
     # ------------------------------------------------------------------ #
     # Construction: open / recover
@@ -320,52 +320,37 @@ class DurableMonitor(MonitorSurface):
         )
         report = monitor._recover_state()
         monitor._begin_journaling()
-        monitor._attach_renormalize_listener()
         return monitor, report
 
     def _recover_state(self) -> RecoveryReport:
         sidecar = self._read_sidecar()
-        self._last_checkpoint_lsn = int(sidecar["lsn"])
-        if not self._sharded:
-            # The sidecar gates checkpoints in single mode too: a crash
-            # between the checkpoint write and the sidecar write must roll
-            # the round back, or the replay would start past register/
-            # unregister records whose ids the stale sidecar cannot prove
-            # retired (and could therefore reissue).
-            report = recover_engine(
-                self._inner,
-                self._wals[0],
-                self._checkpoints[0],
-                ckpt_max_lsn=int(sidecar["lsn"]),
-            )
-            self._checkpoints[0].purge_newer(int(sidecar["lsn"]))
-            self._inner.ensure_next_query_id(int(sidecar["next_query_id"]))
-            return report
-        inner: ShardedMonitor = self._inner  # type: ignore[assignment]
-        report = RecoveryReport()
-        # Clamp every shard to the shortest durable prefix: a crash while a
-        # commit group fanned out may have reached only some of the WALs.
-        common_lsn = min(wal.last_lsn for wal in self._wals)
+        # The sidecar gates checkpoints (``ckpt_max_lsn``): a crash between
+        # the checkpoint writes and the sidecar write must roll the whole
+        # round back, or the replay would start past register/unregister
+        # records whose ids the stale sidecar cannot prove retired.
         sidecar_lsn = int(sidecar["lsn"])
-        for shard, wal, checkpoints in zip(
-            inner.shards, self._wals, self._checkpoints
-        ):
+        self._last_checkpoint_lsn = sidecar_lsn
+        report = RecoveryReport()
+        # Clamp every host to the shortest durable prefix: a crash while a
+        # commit group fanned out may have reached only some of the WALs
+        # (with one host the clamp and the cut below are no-ops).
+        common_lsn = min(wal.last_lsn for wal in self._wals)
+        for host, wal, checkpoints in zip(self._hosts, self._wals, self._checkpoints):
             report.merge_shard(
                 recover_engine(
-                    shard,
+                    host,
                     wal,
                     checkpoints,
-                    shard_id=shard.shard_id,
+                    shard_id=host.shard_id,
                     up_to_lsn=common_lsn,
-                    decode_state=_decode_shard_state,
                     ckpt_max_lsn=sidecar_lsn,
                 )
             )
-        # Every shard recovered: make the clamp physical.  Records past the
+        # Every host recovered: make the clamp physical.  Records past the
         # common prefix are cut from the longer logs so appends resume in
         # lockstep from the same LSN everywhere and no later recovery can
         # replay records the clamped state never applied.  Deliberately
-        # *after* the per-shard recoveries — a recovery that is going to
+        # *after* the per-host recoveries — a recovery that is going to
         # fail (a checkpoint ahead of a damaged log, say) must not destroy
         # the healthy shards' tails first; until this point the clamp is
         # only the logical ``up_to_lsn`` bound, so a failed recover() leaves
@@ -379,20 +364,13 @@ class DurableMonitor(MonitorSurface):
         # incremental chain.
         for manager in self._checkpoints:
             manager.purge_newer(sidecar_lsn)
-        inner.rebuild_router()
-        replayed_documents, next_query_id_floor = scan_facade_state(
-            self._wals[0], after_lsn=sidecar_lsn, up_to_lsn=common_lsn
-        )
-        documents = int(sidecar["documents_processed"]) + replayed_documents
-        retired = EventCounters()
-        retired.restore(sidecar["retired_counters"])  # type: ignore[arg-type]
-        inner.adopt_statistics(documents, retired)
-        # The floor from the WAL covers ids of queries registered and
-        # unregistered again after the sidecar (no shard hosts them, the
-        # replay targets shards directly); the sidecar covers everything
-        # before it.
-        inner.ensure_next_query_id(
-            max(int(sidecar["next_query_id"]), next_query_id_floor)
+        self._inner.adopt_facade_state(sidecar, report.marker_documents)
+        # The floor from the replayed records covers ids of queries
+        # registered and unregistered again after the sidecar (no host holds
+        # them, and the replay targets hosts, not the facade); the sidecar
+        # covers everything before it.
+        self._inner.ensure_next_query_id(
+            max(int(sidecar["next_query_id"]), report.next_query_id_floor)
         )
         return report
 
@@ -403,22 +381,23 @@ class DurableMonitor(MonitorSurface):
         shard-resident (``"processes"``).  The parent-side
         :class:`WriteAheadLog` objects did the open-time work that needs
         *reading* — torn-tail repair and, on recovery, replay and the
-        physical common-prefix clamp — and are then closed; from here on each worker appends to the log it owns,
-        where its shard lives (the ``wal_*`` verbs of the shard protocol),
-        so journal I/O runs in parallel with the shard work.  A worker that
-        dies between commands simply loses its buffered group — the same
-        crash window an in-process shard's WAL has.  Recovery rehydrates
-        workers first, then calls this, so appends resume worker-side from
-        the recovered LSN.
+        physical common-prefix clamp — and are then closed; from here on
+        each worker appends to the log it owns, where its shard lives (the
+        ``wal_*`` verbs of the shard protocol), so journal I/O runs in
+        parallel with the shard work.  A worker that dies between commands
+        simply loses its buffered group — the same crash window an
+        in-process shard's WAL has.  Recovery rehydrates workers first, then
+        calls this, so appends resume worker-side from the recovered LSN.
         """
         self._last_lsn = self._wals[0].last_lsn
-        if not self._sharded:
+        # All hosts renormalize identically, so one listener suffices (on a
+        # handle it fires as the worker ships rebases back with its replies).
+        self._hosts[0].add_renormalize_listener(self._on_renormalize)
+        if not self._executor.shard_resident:
             return
-        if not getattr(self._inner.executor, "shard_resident", False):  # type: ignore[union-attr]
-            return
-        for shard, wal in zip(self._inner.shards, self._wals):  # type: ignore[union-attr]
+        for handle, wal in zip(self._hosts, self._wals):
             wal.close()
-            shard.call(  # type: ignore[attr-defined]
+            handle.call(  # type: ignore[union-attr]
                 "wal_open",
                 wal.directory,
                 self.durability.group_commit,
@@ -432,11 +411,12 @@ class DurableMonitor(MonitorSurface):
     # ------------------------------------------------------------------ #
 
     def _write_meta(self, path: str) -> None:
+        facade = self._facade
         meta = {
             "version": codec.CODEC_VERSION,
-            "mode": "sharded" if self._sharded else "single",
-            "n_shards": self._inner.n_shards if self._sharded else 1,  # type: ignore[union-attr]
-            "policy": self._inner.router.policy.name if self._sharded else "hash",  # type: ignore[union-attr]
+            "mode": "single" if facade is None else "sharded",
+            "n_shards": len(self._hosts),
+            "policy": "hash" if facade is None else facade.router.policy.name,
             "config": {
                 field_name: getattr(self.config, field_name)
                 for field_name in _CONFIG_FIELDS
@@ -462,21 +442,11 @@ class DurableMonitor(MonitorSurface):
         return os.path.join(self.durability.directory, _SIDECAR_NAME)
 
     def _write_sidecar(self, lsn: int) -> None:
-        if self._sharded:
-            inner: ShardedMonitor = self._inner  # type: ignore[assignment]
-            # statistics.documents is the facade's own event count; the
-            # retired counters are facade-internal (rebalancing history).
-            documents = inner.statistics.documents
-            retired = inner._retired_counters.snapshot()
-        else:
-            documents = 0
-            retired = EventCounters().snapshot()
         sidecar = {
             "version": codec.CODEC_VERSION,
             "lsn": lsn,
             "next_query_id": self._inner.next_query_id,
-            "documents_processed": documents,
-            "retired_counters": retired,
+            **self._inner.facade_state(),
         }
         atomic_write(
             self._sidecar_path(), codec.pack_line(sidecar),
@@ -488,12 +458,8 @@ class DurableMonitor(MonitorSurface):
             with open(self._sidecar_path(), "rb") as handle:
                 sidecar = codec.unpack_line(handle.read())
         except FileNotFoundError:
-            return {
-                "lsn": 0,
-                "next_query_id": 0,
-                "documents_processed": 0,
-                "retired_counters": EventCounters().snapshot(),
-            }
+            # No round ever committed: the facade state of a fresh monitor.
+            return {"lsn": 0, "next_query_id": 0, **self._inner.facade_state()}
         except CorruptRecordError as exc:
             raise RecoveryError(f"facade sidecar is corrupt: {exc}") from exc
         if not isinstance(sidecar, dict):
@@ -504,15 +470,6 @@ class DurableMonitor(MonitorSurface):
                 "is not supported"
             )
         return sidecar
-
-    def _attach_renormalize_listener(self) -> None:
-        # All shards renormalize identically; one listener suffices.  The
-        # shard-level hook covers process-resident shards too (the worker
-        # ships rebase notifications back with its replies).
-        if self._sharded:
-            self._inner.shards[0].add_renormalize_listener(self._on_renormalize)  # type: ignore[union-attr]
-        else:
-            self._inner.algorithm.add_renormalize_listener(self._on_renormalize)  # type: ignore[union-attr]
 
     def _on_renormalize(self, new_origin: float, factor: float) -> None:
         # A rescale touches every stored score; an incremental checkpoint
@@ -596,8 +553,7 @@ class DurableMonitor(MonitorSurface):
             for wal in self._wals:
                 getattr(wal, method)(*args)
         else:
-            inner: ShardedMonitor = self._inner  # type: ignore[assignment]
-            inner.executor.run_shards(inner.shards, verb, args)
+            self._executor.run_shards(self._hosts, verb, args)
 
     def _after_events(self, count: int) -> None:
         self._events_since_checkpoint += count
@@ -607,9 +563,9 @@ class DurableMonitor(MonitorSurface):
 
     def _owner_shard(self, query_id: QueryId) -> Optional[int]:
         """The shard a membership record is tagged with (``None`` = single)."""
-        if not self._sharded:
+        if self._facade is None:
             return None
-        return self._inner.router.shard_of(query_id)  # type: ignore[union-attr]
+        return self._facade.router.shard_of(query_id)
 
     # ------------------------------------------------------------------ #
     # Query registration (monitor-compatible, journaled)
@@ -732,22 +688,14 @@ class DurableMonitor(MonitorSurface):
         else:
             self.flush()
         lsn = self._last_lsn
-        if self._sharded:
-            # One state-capture path for local and process-resident shards:
-            # the codec-encoded form the shard vends (worker-side encoded
-            # when the shard lives in a worker) is written verbatim.  The
-            # capture fans out through the executor, so process-resident
-            # shards encode their states concurrently instead of one
-            # blocking round trip at a time.
-            inner: ShardedMonitor = self._inner  # type: ignore[assignment]
-            encoded_states = inner.executor.run_shards(
-                inner.shards, "snapshot_encoded", ()
-            )
-            for manager, encoded in zip(self._checkpoints, encoded_states):
-                manager.write(encoded, lsn, full)  # type: ignore[arg-type]
-        else:
-            state = self._inner.snapshot()  # type: ignore[union-attr]
-            self._checkpoints[0].write(codec.encode_monitor_state(state), lsn, full)
+        # One state-capture path for local and process-resident hosts: the
+        # codec-encoded form the host vends (worker-side encoded when it
+        # lives in a worker) is written verbatim.  The capture fans out
+        # through the executor, so process-resident shards encode their
+        # states concurrently instead of one blocking round trip at a time.
+        encoded_states = self._executor.run_shards(self._hosts, "snapshot_encoded", ())
+        for manager, encoded in zip(self._checkpoints, encoded_states):
+            manager.write(encoded, lsn, full)  # type: ignore[arg-type]
         # The sidecar is the commit marker of the whole round: recovery
         # ignores newer per-shard checkpoints until it exists.
         self._write_sidecar(lsn)
@@ -851,13 +799,7 @@ class DurableMonitor(MonitorSurface):
     def reset_statistics(self) -> None:
         """Zero counters and timing samples (e.g. after a warm-up phase)."""
         self._journal_times.clear()
-        if self._sharded:
-            self._inner.reset_statistics()  # type: ignore[union-attr]
-        else:
-            algorithm = self._inner.algorithm  # type: ignore[union-attr]
-            algorithm.counters.reset()
-            algorithm.response_times.clear()
-            algorithm.batch_response_times.clear()
+        self._inner.reset_statistics()
 
     @property
     def live_window_size(self) -> Optional[int]:

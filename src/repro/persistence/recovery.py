@@ -3,8 +3,9 @@
 Recovery rebuilds a monitor to the exact state it held at the last durable
 WAL record:
 
-1. load the newest valid checkpoint (full + incremental chain) and restore
-   it through the PR-2 ``restore()`` hooks;
+1. load the newest valid checkpoint (full + incremental chain) and hand its
+   encoded state to the host's ``restore_encoded`` — decoded once, where
+   the engine lives (in the worker, for a process-resident shard);
 2. truncate the WAL's torn tail (done by :class:`WriteAheadLog` on open);
 3. replay every WAL record past the checkpoint through the *normal*
    ingestion path — ``process``/``process_batch``/register/unregister —
@@ -13,7 +14,8 @@ WAL record:
    the recovered state byte-identical to an uninterrupted run;
 4. compact: drop WAL segments wholly covered by the checkpoint.
 
-For a sharded monitor each shard recovers independently from its own WAL
+A single monitor is the one-host case of the same procedure.  For a
+sharded monitor each shard recovers independently from its own WAL
 and checkpoint directory (the per-shard logs carry identical record
 sequences, so shard recoveries are embarrassingly parallel); the shards are
 then clamped to the shortest durable log prefix — the *common LSN* — so a
@@ -24,7 +26,7 @@ shard a record ahead of another.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.exceptions import RecoveryError
 from repro.persistence import codec
@@ -45,6 +47,16 @@ class RecoveryReport:
     replayed_records: int = 0
     #: Stream events (documents) among the replayed records.
     replayed_documents: int = 0
+    #: The facade-level facts of the same pass.  Stream events journaled
+    #: past the commit marker (``ckpt_max_lsn``): the sharded facade rolls
+    #: its global event count forward from the sidecar by these — not by
+    #: ``replayed_documents``, which is larger when a host had to fall back
+    #: to a checkpoint older than the marker.
+    marker_documents: int = 0
+    #: One past the highest query id registered among the replayed records:
+    #: ids registered and unregistered again after the sidecar was written
+    #: must not be reissued even though no recovered host holds them.
+    next_query_id_floor: int = 0
     #: Bytes removed from torn WAL tails.
     truncated_bytes: int = 0
     #: Records cut from longer per-shard WALs to make the clamp to the
@@ -62,6 +74,12 @@ class RecoveryReport:
         self.replayed_records += shard_report.replayed_records
         self.replayed_documents = max(
             self.replayed_documents, shard_report.replayed_documents
+        )
+        self.marker_documents = max(
+            self.marker_documents, shard_report.marker_documents
+        )
+        self.next_query_id_floor = max(
+            self.next_query_id_floor, shard_report.next_query_id_floor
         )
         self.truncated_bytes += shard_report.truncated_bytes
         self.compacted_segments += shard_report.compacted_segments
@@ -82,30 +100,21 @@ def recover_engine(
     checkpoints: CheckpointManager,
     shard_id: Optional[int] = None,
     up_to_lsn: Optional[int] = None,
-    decode_state: Optional[Callable[[dict], dict]] = None,
     ckpt_max_lsn: Optional[int] = None,
 ) -> RecoveryReport:
-    """Restore ``target`` from its checkpoint and replay its WAL tail.
+    """Restore ``target`` (an engine host or its handle) from its
+    checkpoint and replay its WAL tail.
 
     ``up_to_lsn`` clamps the replay (the sharded common-prefix rule);
     ``ckpt_max_lsn`` ignores checkpoints newer than the facade's commit
     marker (so a checkpoint round that crashed half-written across shards
-    is disregarded as a whole); ``decode_state`` converts the encoded
-    checkpoint state into whatever shape ``target.restore`` expects
-    (defaults to the flat monitor shape).
+    is disregarded as a whole).
     """
     report = RecoveryReport(truncated_bytes=wal.truncated_bytes)
-    decode = decode_state or codec.decode_monitor_state
     loaded = checkpoints.load_latest(max_lsn=ckpt_max_lsn)
     start_lsn = 0
     if loaded is not None:
         encoded_state, checkpoint_lsn = loaded
-        if up_to_lsn is not None and checkpoint_lsn > up_to_lsn:
-            raise RecoveryError(
-                f"checkpoint at lsn {checkpoint_lsn} is ahead of the durable "
-                f"log prefix (lsn {up_to_lsn}); the WAL was damaged beyond "
-                "its torn tail"
-            )
         # A committed checkpoint round leaves the WAL positioned at (or
         # past) its LSN — the round flushes first and rotation names the
         # next segment checkpoint_lsn + 1 — so a shorter log means the
@@ -119,7 +128,13 @@ def recover_engine(
                 f"(last lsn {wal.last_lsn}); the log was lost or emptied "
                 "after the checkpoint round"
             )
-        target.restore(decode(encoded_state))
+        if up_to_lsn is not None and checkpoint_lsn > up_to_lsn:
+            raise RecoveryError(
+                f"checkpoint at lsn {checkpoint_lsn} is ahead of the durable "
+                f"log prefix (lsn {up_to_lsn}); the WAL was damaged beyond "
+                "its torn tail"
+            )
+        target.restore_encoded(encoded_state)
         start_lsn = checkpoint_lsn
         report.checkpoint_lsn = checkpoint_lsn
     report.recovered_lsn = start_lsn
@@ -134,7 +149,14 @@ def recover_engine(
                 "that never existed)"
             )
         replay_record(target, record, shard_id=shard_id)
-        report.replayed_documents += documents_in(record)
+        documents = documents_in(record)
+        report.replayed_documents += documents
+        if record.lsn > (ckpt_max_lsn or 0):
+            report.marker_documents += documents
+        if record.kind == codec.KIND_REGISTER:
+            report.next_query_id_floor = max(
+                report.next_query_id_floor, int(record.data["query"]["i"]) + 1
+            )
         report.replayed_records += 1
         report.recovered_lsn = record.lsn
     # The replay must reach the durable tail.  Falling short means records
@@ -150,26 +172,3 @@ def recover_engine(
         )
     report.compacted_segments = wal.compact(start_lsn)
     return report
-
-
-def scan_facade_state(
-    wal: WriteAheadLog, after_lsn: int, up_to_lsn: int
-) -> Tuple[int, int]:
-    """Facade-level facts from ``(after_lsn, up_to_lsn]`` of one WAL.
-
-    Returns ``(documents, next_query_id_floor)``: the stream events recorded
-    in the range, and one past the highest query id registered in it.  The
-    sharded facade rolls its global event count forward from the sidecar
-    with the former; the latter covers queries that were registered and
-    unregistered again after the sidecar was written — their ids must not be
-    reissued even though no recovered shard hosts them.
-    """
-    documents = 0
-    next_query_id = 0
-    for record in wal.replay(after_lsn=after_lsn):
-        if record.lsn > up_to_lsn:
-            break
-        documents += documents_in(record)
-        if record.kind == codec.KIND_REGISTER:
-            next_query_id = max(next_query_id, int(record.data["query"]["i"]) + 1)
-    return documents, next_query_id

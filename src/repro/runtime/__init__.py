@@ -2,9 +2,9 @@
 
 The paper's algorithms make a *single* engine fast at skipping unaffected
 queries; this layer makes the system scale *out*: the registered query set
-is partitioned across independent :class:`~repro.runtime.shard.EngineShard`
-instances (each a full engine with its own index, bounds, decay and
-expiration state), a :class:`~repro.runtime.routing.QueryRouter` with
+is partitioned across independent engine hosts — each shard is a
+:class:`~repro.core.monitor.ContinuousMonitor`, a full engine with its own
+index, bounds, decay and expiration state — a :class:`~repro.runtime.routing.QueryRouter` with
 pluggable partitioning policies decides query placement, and the
 :class:`~repro.runtime.sharded.ShardedMonitor` facade fans stream events
 out to all shards through a pluggable executor and merges their update
@@ -18,7 +18,6 @@ Public entry points:
   :class:`~repro.core.monitor.ContinuousMonitor`;
 * :class:`QueryRouter`, :class:`HashPartitionPolicy`,
   :class:`TermAffinityPolicy`, :func:`make_policy` — query placement;
-* :class:`EngineShard` — one engine shard (snapshot/restore/adopt);
 * :class:`SerialExecutor`, :class:`ProcessShardExecutor`,
   :func:`make_executor` — shard execution strategies (in-process serial, or
   one worker process per shard; ``"remote"`` lives in :mod:`repro.cluster`);
@@ -39,7 +38,6 @@ from repro.runtime.routing import (
     TermAffinityPolicy,
     make_policy,
 )
-from repro.runtime.shard import EngineShard
 from repro.runtime.sharded import ShardedMonitor
 
 __all__ = [
@@ -53,6 +51,5 @@ __all__ = [
     "TermAffinityPolicy",
     "QueryRouter",
     "make_policy",
-    "EngineShard",
     "ShardedMonitor",
 ]

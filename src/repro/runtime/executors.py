@@ -133,7 +133,7 @@ class ShardExecutor(abc.ABC):
         """Invoke ``method(*args)`` on every shard; results in shard order.
 
         The fan-out seam the sharded monitor drives: the in-process executor
-        turns it into plain thunks over local :class:`EngineShard` objects,
+        turns it into plain thunks over local engine hosts,
         while the resident executors override it to pipeline one command to
         every worker before collecting any reply.  Same failure contract as
         :meth:`run`.

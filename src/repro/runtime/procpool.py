@@ -3,8 +3,9 @@
 On stock CPython the GIL serializes pure-Python shard work inside one
 process; this module is the executor that turns shard concurrency into
 wall-clock speedup.  Each shard lives inside its own long-lived **worker
-process** that owns a full :class:`~repro.runtime.shard.EngineShard`; the
-parent drives the workers over duplex pipes with the shard protocol
+process** that owns the same engine host an in-process shard is — a
+:class:`~repro.core.monitor.ContinuousMonitor`; the parent drives the
+workers over duplex pipes with the shard protocol
 (:mod:`repro.runtime.protocol`) and never touches shard state directly.
 
 Design
@@ -37,11 +38,13 @@ Design
   same event concurrently on separate cores.  Replies are collected in
   shard order; per the executor failure contract, every reply is collected
   before the first exception (in shard order) is raised.
-* **State moves through the persistence codec.**  Shard state crossing the
-  process boundary — rebalance captures, checkpoint snapshots, recovery
-  restores — travels in the codec's encoded form, the same bytes-shape a
-  checkpoint stores, so a state that moved between processes is bit-for-bit
-  a state that was checkpointed and restored.
+* **State moves in one shape.**  Shard state crossing the process boundary
+  — rebalance captures, checkpoint snapshots, recovery restores — is what
+  ``snapshot_encoded`` vends and ``restore_encoded``/``adopt_encoded``
+  take: the codec's encoded form, the same bytes-shape a checkpoint stores.
+  The parent passes it through untouched (a recovered checkpoint is decoded
+  once, in the worker), so a state that moved between processes is
+  bit-for-bit a state that was checkpointed and restored.
 * **Worker-side WALs.**  A durable sharded monitor tells each worker to
   open its own shard WAL (``wal_open``); journal records are appended where
   the shard lives, so the log I/O parallelizes with the shard work and a
@@ -66,13 +69,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.config import MonitorConfig
+from repro.core.monitor import ContinuousMonitor
 from repro.core.results import BatchUpdate, ResultUpdate
 from repro.documents.document import Document
 from repro.exceptions import ConfigurationError, WorkerError
 from repro.persistence import codec
 from repro.runtime.executors import ShardExecutor, pipeline, raise_first_failure, run_serially
 from repro.runtime.protocol import COMMANDS, ERR, WAL_COMMANDS, ShardServer
-from repro.runtime.shard import EngineShard
 from repro.runtime.shm import (
     DEFAULT_RING_BYTES,
     SharedMemoryRing,
@@ -89,7 +92,7 @@ TRANSPORTS = ("auto", "shm", "pipe")
 #: collections (automatic collection is off inside the worker loop).
 _GC_EVERY_COMMITS = 256
 
-#: EngineShard attribute -> the protocol row a handle serves it with.
+#: Host attribute -> the protocol row a handle serves it with.
 _BY_ATTR = {entry.attr: (name, entry) for name, entry in COMMANDS.items()}
 
 
@@ -139,7 +142,7 @@ class TransportStats:
 class _WorkerLog:
     """The shard WAL a worker owns, behind the ``wal_*`` protocol verbs."""
 
-    def __init__(self, shard: EngineShard, label: str) -> None:
+    def __init__(self, shard: ContinuousMonitor, label: str) -> None:
         self._shard = shard
         self._label = label
         self.wal = None
@@ -206,7 +209,8 @@ def _shard_worker_main(conn, shard_id: int, config: MonitorConfig, ring_name=Non
     gc.disable()
     commits_since_gc = 0
 
-    shard = EngineShard(shard_id, config)
+    shard = ContinuousMonitor(config)
+    shard.shard_id = shard_id
     shard.capture_renorms = True
     ring = attach_ring_view(ring_name) if ring_name is not None else None
     label = f"shard worker {shard_id}"
@@ -238,7 +242,7 @@ def _shard_worker_main(conn, shard_id: int, config: MonitorConfig, ring_name=Non
 class ProcessShardHandle:
     """Parent-side proxy for one shard living in a worker process.
 
-    Mirrors the :class:`EngineShard` surface, so the sharded facade,
+    Mirrors the :class:`ContinuousMonitor` host surface, so the sharded facade,
     rebalancing and crash recovery drive local and process-resident shards
     through identical code.  The mirror is *derived*: any attribute named by
     a row of :data:`~repro.runtime.protocol.COMMANDS` resolves to one
@@ -328,12 +332,12 @@ class ProcessShardHandle:
         return self.process.is_alive()
 
     # ------------------------------------------------------------------ #
-    # EngineShard surface
+    # Host surface
     # ------------------------------------------------------------------ #
 
     def __getattr__(self, name: str):
         # Reached only for names not defined on the class: the table-derived
-        # mirror of the EngineShard surface.
+        # mirror of the host surface.
         found = _BY_ATTR.get(name)
         if found is None:
             raise AttributeError(name)
@@ -380,18 +384,6 @@ class ProcessShardHandle:
         drained = self._raw_buffer
         self._raw_buffer = []
         return drained
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Restore a nested (in-memory) shard capture — recovery's entry point.
-
-        Crash recovery hands every shard the decoded checkpoint shape; for a
-        process-resident shard the state is re-encoded through the codec
-        (exact by construction) and rebuilt worker-side.
-        """
-        flat = dict(state["engine"])  # type: ignore[arg-type]
-        if "expiration" in state:
-            flat["expiration"] = state["expiration"]
-        self.restore_encoded(codec.encode_monitor_state(flat))
 
 
 class ResidentShardExecutor(ShardExecutor):

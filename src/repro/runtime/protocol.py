@@ -4,15 +4,15 @@ Every shard — in-process, in a worker process behind a pipe, in a cluster
 host behind a socket — answers one command set.  This module is the single
 place that set is written down; everything else derives from it:
 
-* :data:`COMMANDS` maps each **wire name** to the
-  :class:`~repro.runtime.shard.EngineShard` method or property it runs and,
-  for state-changing commands, to the builder of the WAL record that
-  journals it.  A command is *mutating* exactly when it has a record
-  builder, so the mutating set and the command → record-kind mapping are
-  one definition.  The handles (:class:`~repro.runtime.procpool
-  .ProcessShardHandle` and its socket twin) expose every entry by its
-  ``attr``; the durable facade and the cluster host journal through the
-  entry's ``record``; the router predicts LSNs from ``mutating``.
+* :data:`COMMANDS` maps each **wire name** to the ``attr`` (method or
+  property) of the one engine host, :class:`~repro.core.monitor
+  .ContinuousMonitor`, it runs and, for state-changing commands, to the
+  builder of the WAL record that journals it.  A command is *mutating*
+  exactly when it has a record builder, so the mutating set and the command
+  → record-kind mapping are one definition.  The handles
+  (:class:`~repro.runtime.procpool.ProcessShardHandle` and its socket twin)
+  expose every entry by its ``attr``; the durable facade and the cluster host
+  journal through its ``record``; the router predicts LSNs from ``mutating``.
   **To add a command, add a row here** (and, if it journals a new record
   kind, a branch in :func:`replay_record`).
 * :class:`ShardServer` is the one decode → execute → drain-events →
@@ -20,7 +20,7 @@ place that set is written down; everything else derives from it:
   host control loop differ only in transport, in the host's lock and in its
   apply-then-journal hook (``apply_mutation``).
 * :func:`replay_record` is the one function that maps a
-  :class:`~repro.persistence.wal.WalRecord` back onto a monitor or shard —
+  :class:`~repro.persistence.wal.WalRecord` back onto a host or monitor —
   crash recovery, standby replication and the redo cache all go through it.
 
 Wire format: requests are codec frames ``{"c": command, "a": [args]}``;
@@ -59,7 +59,7 @@ RecordBuilder = Callable[[Sequence[object], Optional[int]], Tuple[str, Dict[str,
 class ShardCommand(NamedTuple):
     """One row of the shard protocol (see the module docstring)."""
 
-    #: The :class:`EngineShard` attribute the wire name resolves to.
+    #: The :class:`ContinuousMonitor` attribute the wire name resolves to.
     attr: str
     #: Read (or, with one argument, written) as a property, not called.
     is_property: bool = False
@@ -106,8 +106,9 @@ COMMANDS: Dict[str, ShardCommand] = {
     # through the generic argument path).
     "batch_commit": ShardCommand("process_batch", record=_batch_record),
     "register": ShardCommand(
-        "register",
+        "register_query",
         record=lambda args, shard: codec.register_record(args[0], shard=shard),
+        to_wire=lambda registered: None,  # the caller holds the query already
     ),
     "unregister": ShardCommand(
         "unregister",
@@ -137,7 +138,7 @@ COMMANDS: Dict[str, ShardCommand] = {
     "queries": ShardCommand("queries", is_property=True, to_wire=dict),
     "num_queries": ShardCommand("num_queries", is_property=True),
     "counters": ShardCommand(
-        "counters",
+        "statistics",
         is_property=True,
         to_wire=EventCounters.snapshot,
         from_wire=_restore_counters,
@@ -168,7 +169,7 @@ WAL_COMMANDS: Dict[str, str] = {
 def replay_record(target, record: WalRecord, shard_id: Optional[int] = None) -> object:
     """Apply one WAL record through the normal ingestion path.
 
-    ``target`` is a monitor or an engine shard.  When ``shard_id`` is given,
+    ``target`` is an engine host or a whole monitor.  When ``shard_id`` is given,
     membership records owned by other shards are skipped — every shard's
     WAL carries the full record sequence, but each query belongs to exactly
     one shard.  Returns what the engine returned (the update list, the
@@ -182,8 +183,7 @@ def replay_record(target, record: WalRecord, shard_id: Optional[int] = None) -> 
         return target.process_batch([codec.decode_document(doc) for doc in data["docs"]])
     if kind == codec.KIND_REGISTER:
         if shard_id is None or data.get("shard") == shard_id:
-            register = getattr(target, "register_query", None) or target.register
-            register(codec.decode_query(data["query"]))
+            target.register_query(codec.decode_query(data["query"]))
         return None
     if kind == codec.KIND_UNREGISTER:
         if shard_id is None or data.get("shard") == shard_id:

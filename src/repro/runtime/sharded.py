@@ -5,8 +5,9 @@
 batched processing, top-k lookups, listeners and statistics all behave the
 same — but behind the facade the registered queries are partitioned by a
 :class:`~repro.runtime.routing.QueryRouter` across independent
-:class:`~repro.runtime.shard.EngineShard` instances, and every stream event
-fans out to all shards through a pluggable
+:class:`~repro.core.monitor.ContinuousMonitor` hosts — a shard *is* a
+monitor, with a ``shard_id`` — and every stream event fans out to all shards
+through a pluggable
 :class:`~repro.runtime.executors.ShardExecutor`.
 
 Merge semantics
@@ -46,7 +47,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.config import MonitorConfig
-from repro.core.monitor import MonitorSurface
+from repro.core.monitor import ContinuousMonitor, MonitorSurface
 from repro.core.results import BatchUpdate, ResultEntry, ResultUpdate
 from repro.exceptions import ConfigurationError
 from repro.metrics.counters import EventCounters
@@ -54,7 +55,6 @@ from repro.obs.telemetry import Telemetry
 from repro.queries.query import Query
 from repro.runtime.executors import ShardExecutor, make_executor
 from repro.runtime.routing import PartitionPolicy, QueryRouter, make_policy
-from repro.runtime.shard import EngineShard
 from repro.text.vectorizer import Vectorizer
 from repro.types import QueryId
 
@@ -102,11 +102,11 @@ class ShardedMonitor(MonitorSurface):
     def _spawn_shards(self, n_shards: int):
         """Build the shard set the configured executor implies.
 
-        In-process executors run tasks against local :class:`EngineShard`
-        objects; a shard-resident executor (``"processes"``) owns the
-        shards inside its workers and vends handles that mirror the
-        :class:`EngineShard` surface — everything downstream drives either
-        through identical calls.
+        In-process executors run tasks against local
+        :class:`ContinuousMonitor` hosts; a shard-resident executor
+        (``"processes"``) owns the hosts inside its workers and vends
+        handles that mirror their surface — everything downstream drives
+        either through identical calls.
         """
         if self._executor.shard_resident:
             # A pre-built executor instance carries its own worker count;
@@ -119,7 +119,10 @@ class ShardedMonitor(MonitorSurface):
                     f"shard(s) but the monitor requested n_shards={n_shards}"
                 )
             return self._executor.spawn_shards(self.config)  # type: ignore[attr-defined]
-        return [EngineShard(i, self.config) for i in range(n_shards)]
+        shards = [ContinuousMonitor(self.config) for _ in range(n_shards)]
+        for shard_id, shard in enumerate(shards):
+            shard.shard_id = shard_id
+        return shards
 
     def _run_on_shards(self, method: str, *args):
         """Fan ``method(*args)`` out to every shard through the executor."""
@@ -130,7 +133,7 @@ class ShardedMonitor(MonitorSurface):
         return len(self._shards)
 
     @property
-    def shards(self) -> List[EngineShard]:
+    def shards(self) -> List[ContinuousMonitor]:
         """The engine shards (read-only view; do not mutate them directly)."""
         return list(self._shards)
 
@@ -154,7 +157,7 @@ class ShardedMonitor(MonitorSurface):
     def register_query(self, query: Query) -> Query:
         """Register a fully formed :class:`Query` (caller-assigned id)."""
         shard = self._router.route(query)
-        self._shards[shard].register(query)
+        self._shards[shard].register_query(query)
         self._next_query_id = max(self._next_query_id, query.query_id + 1)
         return query
 
@@ -263,7 +266,7 @@ class ShardedMonitor(MonitorSurface):
         multiply it by the shard count, the one counter that is global to
         the monitor rather than per-partition.
         """
-        merged = EventCounters.aggregate(shard.counters for shard in self._shards)
+        merged = EventCounters.aggregate(shard.statistics for shard in self._shards)
         merged.merge(self._retired_counters)
         merged.documents = self._documents_processed
         return merged
@@ -385,42 +388,38 @@ class ShardedMonitor(MonitorSurface):
     # Crash-recovery adoption
     # ------------------------------------------------------------------ #
 
-    def rebuild_router(self) -> None:
-        """Rebuild the routing layer from the shards' current query sets.
-
-        Crash recovery restores each :class:`EngineShard` from its own
-        checkpoint + WAL and then calls this to make the router agree with
-        the recovered placement.  The policy adopts each resident query, so
-        stateful policies (term affinity) accumulate exactly the placement
-        state the original registration sequence built — placement state is
-        a per-shard sum, independent of adoption order.
+    def facade_state(self) -> Dict[str, object]:
+        """The facade-level facts a durable sidecar records: the stream's
+        true event count and the counters of shards retired by rebalances
+        (per-shard counters live in the engines and are restored with them).
         """
-        policy = self._router.policy
-        self._router = QueryRouter(self.n_shards, policy)
-        next_id = self._next_query_id
-        for shard in self._shards:
+        return {
+            "documents_processed": self._documents_processed,
+            "retired_counters": self._retired_counters.snapshot(),
+        }
+
+    def adopt_facade_state(self, state: Dict[str, object], replayed_documents: int) -> None:
+        """Reinstate :meth:`facade_state` around freshly recovered shards.
+
+        Crash recovery restores each shard from its own checkpoint + WAL
+        and then calls this: the event count rolls forward by the replayed
+        events, and the router is rebuilt from the shards' current query
+        sets.  The policy adopts each resident query, so stateful policies
+        (term affinity) accumulate exactly the placement state the original
+        registration sequence built — placement state is a per-shard sum,
+        independent of adoption order.
+        """
+        documents = int(state["documents_processed"])  # type: ignore[call-overload]
+        self._documents_processed = documents + replayed_documents
+        self._retired_counters.restore(state["retired_counters"])  # type: ignore[arg-type]
+        self._router = QueryRouter(self.n_shards, self._router.policy)
+        for shard_id, shard in enumerate(self._shards):
             # Bind the dict once: for a process-resident shard the property
             # is a pipe round trip shipping the whole query set.
             queries = shard.queries
             for query_id in sorted(queries):
-                self._router.adopt(queries[query_id], shard.shard_id)
-                next_id = max(next_id, query_id + 1)
-        self._next_query_id = next_id
-
-    def adopt_statistics(
-        self,
-        documents_processed: int,
-        retired_counters: Optional[EventCounters] = None,
-    ) -> None:
-        """Overwrite the facade-level statistics (recovery hook).
-
-        Per-shard counters live in the engines and are restored with them;
-        the stream's true event count and the counters of shards retired by
-        past rebalances belong to the facade and are reinstated here.
-        """
-        self._documents_processed = documents_processed
-        if retired_counters is not None:
-            self._retired_counters = retired_counters
+                self._router.adopt(queries[query_id], shard_id)
+            self.ensure_next_query_id(max(queries, default=-1) + 1)
 
     # ------------------------------------------------------------------ #
     # Rebalancing
@@ -489,7 +488,7 @@ class ShardedMonitor(MonitorSurface):
         if self._executor.shard_resident:
             self._shards = self._executor.resize(new_n, self.config)  # type: ignore[attr-defined]
         else:
-            self._shards = [EngineShard(i, self.config) for i in range(new_n)]
+            self._shards = self._spawn_shards(new_n)
         if self._listeners:
             for shard in self._shards:
                 shard.capture_raw = True

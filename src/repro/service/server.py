@@ -67,13 +67,6 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.service import protocol
 from repro.service.registry import SubscriptionRegistry
 
-#: Roles a service process can run as.  ``"monitor"`` is the pub/sub
-#: server this module implements; ``"shard-host"`` serves one engine shard
-#: over the cluster wire protocol (see :func:`serve_shard_host`).
-ROLE_MONITOR = "monitor"
-ROLE_SHARD_HOST = "shard-host"
-SERVICE_ROLES = (ROLE_MONITOR, ROLE_SHARD_HOST)
-
 #: Slow-consumer policies (see the module docstring and docs/service.md).
 POLICY_BLOCK = "block"
 POLICY_DROP = "drop"
@@ -147,11 +140,6 @@ class ServiceConfig:
         Seconds :meth:`MonitorServer.stop` waits for each draining step
         (ingest queue, outstanding acks, per-subscriber flush) before
         forcing it.
-    role:
-        What this service process serves: ``"monitor"`` (default — the
-        pub/sub server) or ``"shard-host"`` (one engine shard behind the
-        cluster wire protocol; launched with :func:`serve_shard_host`, not
-        with :class:`MonitorServer`).
     telemetry:
         Record pipeline stage timers (publish receive, micro-batch
         enqueue, engine probe, notification write) into mergeable latency
@@ -181,16 +169,11 @@ class ServiceConfig:
     checkpoint_on_shutdown: bool = True
     close_monitor: bool = True
     shutdown_timeout: float = 30.0
-    role: str = ROLE_MONITOR
     telemetry: bool = False
     metrics_port: Optional[int] = None
     metrics_host: str = "127.0.0.1"
 
     def __post_init__(self) -> None:
-        if self.role not in SERVICE_ROLES:
-            raise ConfigurationError(
-                f"role must be one of {SERVICE_ROLES}, got {self.role!r}"
-            )
         if self.max_batch <= 0:
             raise ConfigurationError(f"max_batch must be > 0, got {self.max_batch}")
         if self.linger_yields < 0:
@@ -226,38 +209,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"metrics_port must be >= 0 (or None), got {self.metrics_port}"
             )
-
-
-def serve_shard_host(
-    shard_id: int,
-    config,
-    options=None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    on_ready=None,
-) -> None:
-    """Run one engine shard behind the cluster wire protocol (blocking).
-
-    The ``shard-host`` role: where :class:`MonitorServer` fronts a whole
-    monitor with the pub/sub JSON protocol, a shard host serves a single
-    :class:`~repro.runtime.shard.EngineShard` over length-prefixed codec
-    frames (:mod:`repro.cluster.transport`) for a
-    :class:`~repro.cluster.remote.RemoteShardExecutor` to drive — and,
-    when journaling, accepts WAL subscribers (hot standbys) on the same
-    listen socket.  Blocks until a ``shutdown`` command arrives over the
-    wire; ``on_ready`` receives the bound ``(host, port)`` once listening
-    (port 0 picks a free one).
-
-    ``config`` is the :class:`~repro.core.config.MonitorConfig` for the
-    hosted shard; ``options`` a :class:`~repro.cluster.host.HostOptions`
-    (``None`` hosts a plain non-journaling primary).
-    """
-    # Function-level import: the cluster package pulls in persistence and
-    # runtime layers the plain pub/sub path never needs.
-    from repro.cluster.host import HostOptions, ShardHost
-
-    shard_host = ShardHost(shard_id, config, options or HostOptions())
-    shard_host.serve(host=host, port=port, on_ready=on_ready)
 
 
 class _IngestItem:
@@ -377,11 +328,6 @@ class MonitorServer:
     def __init__(self, monitor, config: Optional[ServiceConfig] = None) -> None:
         self._monitor = monitor
         self._config = config or ServiceConfig()
-        if self._config.role != ROLE_MONITOR:
-            raise ConfigurationError(
-                f"MonitorServer serves the {ROLE_MONITOR!r} role; the "
-                f"{self._config.role!r} role is launched with serve_shard_host()"
-            )
         self._counters = ServiceCounters()
         # One recorder for the whole serving pipeline; the shared no-op
         # keeps every stage timer a single attribute read when disabled.

@@ -31,7 +31,6 @@ from repro.exceptions import ReplicationError, WorkerError
 from repro.persistence import codec
 from repro.persistence.replication import ReplicaApplier
 from repro.persistence.wal import WriteAheadLog
-from repro.runtime.shard import EngineShard
 from repro.runtime.sharded import ShardedMonitor
 from repro.service.server import MonitorServer, ServiceConfig
 
@@ -427,15 +426,15 @@ class TestWalShipping:
             wal.close()
 
     def test_replica_applier_replays_through_recovery_path(self, tmp_path):
-        """Shipped lines drive a standby :class:`EngineShard` through the
+        """Shipped lines drive a standby :class:`ContinuousMonitor` host through the
         normal record-replay path, write-through to its own WAL."""
         from tests.helpers import make_document
 
         primary_wal = WriteAheadLog(str(tmp_path / "primary"), group_commit=1)
         standby_wal = WriteAheadLog(str(tmp_path / "standby"), group_commit=1)
         config = MonitorConfig(algorithm="mrio", lam=LAM)
-        direct = EngineShard(0, config)
-        standby = EngineShard(0, config)
+        direct = ContinuousMonitor(config)
+        standby = ContinuousMonitor(config)
         applier = ReplicaApplier(standby, wal=standby_wal, shard_id=0)
 
         from repro.queries.query import Query
@@ -456,7 +455,7 @@ class TestWalShipping:
             primary_wal.append_line(line, lsn)
             lines.append(line)
 
-        direct.register(query)
+        direct.register_query(query)
         for doc_id in range(3):
             direct.process(make_document(doc_id, {1: 1.0, 2: 1.0}, float(doc_id + 1)))
 

@@ -21,19 +21,13 @@ import threading
 
 import pytest
 
+from repro.cluster.host import ShardHost
 from repro.cluster.remote import RemoteShardExecutor
 from repro.cluster.transport import FrameSocket
 from repro.core.config import MonitorConfig
 from repro.exceptions import ConfigurationError, StreamError
 from repro.persistence import codec
 from repro.runtime.sharded import ShardedMonitor
-from repro.service.server import (
-    ROLE_MONITOR,
-    ROLE_SHARD_HOST,
-    MonitorServer,
-    ServiceConfig,
-    serve_shard_host,
-)
 
 REMOTE_SHARD_COUNTS = (2, 4)
 BATCH = 8
@@ -290,16 +284,9 @@ class TestFailureSemantics:
 
 
 class TestShardHostRole:
-    """The service layer's ``shard-host`` role and its config validation."""
+    """A hand-started :class:`ShardHost` answers the control protocol."""
 
-    def test_monitor_server_refuses_shard_host_role(self):
-        with pytest.raises(ConfigurationError):
-            MonitorServer(object(), ServiceConfig(role=ROLE_SHARD_HOST))
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(role="replicator")
-        assert ServiceConfig().role == ROLE_MONITOR
-
-    def test_serve_shard_host_speaks_the_control_protocol(self):
+    def test_shard_host_speaks_the_control_protocol(self):
         ready = threading.Event()
         address = {}
 
@@ -308,8 +295,7 @@ class TestShardHostRole:
             ready.set()
 
         thread = threading.Thread(
-            target=serve_shard_host,
-            args=(0, MonitorConfig(algorithm="mrio", lam=LAM)),
+            target=ShardHost(0, MonitorConfig(algorithm="mrio", lam=LAM)).serve,
             kwargs={"on_ready": on_ready},
             daemon=True,
         )

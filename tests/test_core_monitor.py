@@ -91,6 +91,30 @@ class TestMonitorProcessing:
         assert [e.doc_id for e in top] == [0]
         assert monitor.all_results()[query.query_id] == top
 
+    def test_capture_listeners_attach_on_first_use(self):
+        """An uncaptured engine keeps an empty listener list (and with it
+        ``process_batch``'s no-listener fast path); switching a capture on
+        attaches its listener once."""
+        monitor = ContinuousMonitor()
+        monitor.register_vector({1: 1.0}, k=2)
+        engine = monitor.algorithm
+        monitor.capture_raw = False  # never switched on: nothing to silence
+        assert engine._update_listeners == [] and engine._renormalize_listeners == []
+        assert monitor.drain_raw_updates() == [] and monitor.drain_renormalizations() == []
+
+        monitor.capture_raw = monitor.capture_renorms = True
+        updates = monitor.process(make_document(0, {1: 1.0}, 1.0))
+        monitor.renormalize(1.0)
+        assert monitor.drain_raw_updates() == updates
+        assert [origin for origin, _ in monitor.drain_renormalizations()] == [1.0]
+
+        monitor.capture_raw = False
+        monitor.capture_raw = True
+        assert len(engine._update_listeners) == len(engine._renormalize_listeners) == 1
+        monitor.capture_raw = False
+        monitor.process(make_document(1, {1: 1.0}, 2.0))
+        assert monitor.drain_raw_updates() == []
+
     def test_process_stream_with_limit(self, small_corpus):
         monitor = ContinuousMonitor()
         monitor.register_vector({1: 1.0, 2: 1.0})

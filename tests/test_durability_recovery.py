@@ -14,6 +14,7 @@ is the one counter excluded from comparison.
 from __future__ import annotations
 
 import os
+import shutil
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.core.monitor import ContinuousMonitor
 from repro.exceptions import PersistenceError, RecoveryError
 from repro.persistence.durable import DurabilityConfig, DurableMonitor
 from repro.runtime.sharded import ShardedMonitor
+from tests.data import make_durable_fixture as fixture
 
 #: Every registered algorithm (MRIO under all three zone-bound variants).
 ALGORITHM_CONFIGS = [
@@ -233,6 +235,75 @@ class TestKillAndRecoverDifferential:
         recovered.close()
 
 
+class TestOnDiskCompatibility:
+    """Directories the PR 21 commit wrote (``tests/data/``) recover under the
+    current code: checkpoint chain (full + incremental), WAL tail, sidecar."""
+
+    @pytest.mark.parametrize(
+        "name, n_shards", [("durable_single", 1), ("durable_sharded2", 2)]
+    )
+    def test_committed_directory_recovers_and_keeps_going(self, tmp_path, name, n_shards):
+        root = str(tmp_path / name)
+        shutil.copytree(os.path.join(fixture.HERE, name), root)
+        durability = DurabilityConfig(root, group_commit=1, checkpoint_interval=None)
+        recovered, report = DurableMonitor.recover(durability, fixture.CONFIG)
+        assert (report.checkpoint_lsn, report.recovered_lsn) == (21, 27)
+        assert report.replayed_documents == 6
+
+        if n_shards > 1:
+            reference = ShardedMonitor(fixture.CONFIG, n_shards=n_shards)
+        else:
+            reference = ContinuousMonitor(fixture.CONFIG)
+        fixture.apply(reference, fixture.steps())
+        assert recovered.all_results() == reference.all_results()
+        # Query 15 was registered and unregistered again in the WAL tail.
+        assert recovered.next_query_id == reference.next_query_id == 16
+        assert _counters(recovered) == _counters(reference)
+
+        # The recovered monitor keeps ingesting and checkpoints again (an
+        # incremental round chained onto the parent-written base).
+        more = [fixture.document(i) for i in range(18, 24)]
+        for monitor in (recovered, reference):
+            monitor.process(more[0])
+            monitor.process_batch(more[1:4])
+        assert recovered.checkpoint() == 29
+        for monitor in (recovered, reference):
+            monitor.process_batch(more[4:])
+        del recovered  # crash again
+
+        again, report = DurableMonitor.recover(durability)
+        assert (report.checkpoint_lsn, report.recovered_lsn) == (29, 30)
+        assert again.all_results() == reference.all_results()
+        assert _counters(again) == _counters(reference)
+        again.close()
+
+
+    @pytest.mark.parametrize(
+        "name, n_shards", [("durable_single", 1), ("durable_sharded2", 2)]
+    )
+    def test_current_code_writes_the_same_directory(self, tmp_path, name, n_shards):
+        """Same script, current code: same file set; ``meta.json``,
+        ``facade.json`` and the WAL byte-identical (checkpoints carry one
+        wall-clock counter, so only their names are compared)."""
+        durability = DurabilityConfig(str(tmp_path), group_commit=1, checkpoint_interval=None)
+        fixture.apply(DurableMonitor(durability, fixture.CONFIG, n_shards=n_shards), fixture.steps())
+
+        def files(root):
+            return sorted(
+                os.path.relpath(os.path.join(directory, filename), root)
+                for directory, _, filenames in os.walk(root)
+                for filename in filenames
+            )
+
+        committed = os.path.join(fixture.HERE, name)
+        assert files(str(tmp_path)) == files(committed)
+        for relative in files(committed):
+            if "checkpoints" not in relative:
+                with open(os.path.join(committed, relative), "rb") as want:
+                    with open(os.path.join(str(tmp_path), relative), "rb") as got:
+                        assert got.read() == want.read(), relative
+
+
 class TestCrashWindows:
     """Crashes inside the durability machinery itself."""
 
@@ -381,6 +452,55 @@ class TestCrashWindows:
 
         with pytest.raises(RecoveryError):
             DurableMonitor.recover(durability)
+
+    def test_shard_falling_back_to_an_older_checkpoint_counts_events_once(
+        self, tmp_path, small_queries, small_documents
+    ):
+        """A crash between a round's sidecar write and its WAL compaction
+        leaves the previous round usable.  A shard whose newest checkpoint
+        is then unreadable replays from the older one — more documents than
+        its sibling — while the facade's event count rolls forward from the
+        commit marker only (``RecoveryReport.marker_documents``)."""
+        config = MonitorConfig(algorithm="mrio", lam=LAM)
+        durability = DurabilityConfig(
+            directory=str(tmp_path), group_commit=1, checkpoint_interval=None
+        )
+        monitor = DurableMonitor(durability, config, n_shards=2)
+        monitor.register_queries(small_queries[:10])
+        monitor.process_batch(small_documents[:4])
+        monitor.checkpoint(full=True)
+        monitor.process_batch(small_documents[4:9])
+        on_wals = monitor._on_wals
+
+        def crash_before_compaction(verb, *args):
+            if verb == "wal_rotate":
+                raise KeyboardInterrupt
+            on_wals(verb, *args)
+
+        monitor._on_wals = crash_before_compaction
+        with pytest.raises(KeyboardInterrupt):
+            monitor.checkpoint(full=True)  # sidecar written, WAL not compacted
+        monitor._on_wals = on_wals
+        monitor.process_batch(small_documents[9:12])
+        del monitor  # crash
+
+        ckpt_dir = os.path.join(str(tmp_path), "shard-0000", "checkpoints")
+        path = os.path.join(ckpt_dir, sorted(os.listdir(ckpt_dir))[-1])
+        blob = bytearray(open(path, "rb").read())
+        blob[len(blob) // 2] ^= 0xFF
+        with open(path, "wb") as handle:
+            handle.write(bytes(blob))
+
+        recovered, report = DurableMonitor.recover(durability)
+        assert [shard.replayed_documents for shard in report.shards] == [8, 3]
+        assert report.marker_documents == 3
+        reference = ShardedMonitor(config, n_shards=2)
+        reference.register_queries(small_queries[:10])
+        for batch in (small_documents[:4], small_documents[4:9], small_documents[9:12]):
+            reference.process_batch(batch)
+        assert recovered.statistics.documents == 12
+        _assert_recovered_equals(recovered, reference, small_queries[:10])
+        recovered.close()
 
     def test_missing_middle_wal_segment_refuses(
         self, tmp_path, small_queries, small_documents
@@ -703,6 +823,45 @@ class TestFacadeBehaviour:
         recovered, _ = DurableMonitor.recover(durability)
         fresh = recovered.register_vector({2: 1.0}, k=3)
         assert fresh.query_id > dead.query_id
+        recovered.close()
+
+    @pytest.mark.parametrize("full", [True, False], ids=["full", "incremental"])
+    def test_checkpoint_after_rebalance_captures_the_live_shards(
+        self, tmp_path, full, small_queries, small_documents
+    ):
+        """Regression: a rebalance replaces the facade's shard set, so the
+        host list must be read afresh — a checkpoint of the retired shards
+        would compact away every event journaled since the rebalance."""
+        config = MonitorConfig(algorithm="mrio", lam=LAM, window_horizon=25.0)
+        durability = DurabilityConfig(
+            directory=str(tmp_path), group_commit=1, checkpoint_interval=None
+        )
+        reference = ShardedMonitor(config, n_shards=2)
+        monitor = DurableMonitor(durability, config, n_shards=2)
+        for target in (reference, monitor):
+            target.register_queries(small_queries[:30])
+            target.process_batch(small_documents[:10])
+        monitor.checkpoint(full=True)
+        for target in (reference, monitor):
+            target.process_batch(small_documents[10:15])
+        reference.rebalance(policy="affinity")
+        monitor.monitor.rebalance(policy="affinity")
+        for target in (reference, monitor):
+            target.process_batch(small_documents[15:25])
+            target.unregister(small_queries[3].query_id)
+            # The rebase listener sat on a retired shard: an incremental
+            # round after this rebase must still be exact.
+            target.renormalize(small_documents[24].arrival_time)
+        monitor.checkpoint(full=full)
+        for target in (reference, monitor):
+            target.process_batch(small_documents[25:30])
+        del monitor  # crash
+
+        recovered, report = DurableMonitor.recover(durability)
+        assert report.replayed_documents == 5  # only the tail past the round
+        _assert_recovered_equals(
+            recovered, reference, small_queries[:3] + small_queries[4:30]
+        )
         recovered.close()
 
     def test_recover_rebuilds_config_from_meta(self, tmp_path, small_queries):

@@ -155,7 +155,7 @@ class TestProcessExecutor:
         try:
             shard_a, shard_b = executor.spawn_shards(MonitorConfig(algorithm="mrio"))
             poison = _query(7)
-            shard_a.register(poison)  # shard A now refuses a re-register
+            shard_a.register_query(poison)  # shard A now refuses a re-register
             with pytest.raises(DuplicateQueryError):
                 executor.run_shards([shard_a, shard_b], "register", (poison,))
             # Shard B's task ran to completion despite shard A's failure.

@@ -5,7 +5,8 @@ in-process: the handles talk to a :class:`ShardServer` through a loopback
 connection object, so the full encode -> decode -> execute -> reply ->
 decode trip is exercised without a child process.
 
-* every row resolves on :class:`EngineShard` and is exposed, by its
+* every row resolves on the one engine host,
+  :class:`~repro.core.monitor.ContinuousMonitor`, and is exposed, by its
   ``attr``, on the pipe handle and on the socket handle;
 * every *mutating* row journals through its record builder and replays
   through the single replay function to the same state and the same return
@@ -23,6 +24,7 @@ import pytest
 
 from repro.cluster.remote import HostClient, RemoteShardHandle
 from repro.core.config import MonitorConfig
+from repro.core.monitor import ContinuousMonitor
 from repro.exceptions import WorkerError
 from repro.persistence import codec
 from repro.persistence.wal import record_from_envelope
@@ -34,7 +36,6 @@ from repro.runtime.protocol import (
     ShardServer,
     replay_record,
 )
-from repro.runtime.shard import EngineShard
 from tests.helpers import make_document, make_query
 
 CONFIG = MonitorConfig(algorithm="mrio", lam=1e-3)
@@ -59,22 +60,22 @@ class Loopback:
         return self.replies.pop(0)
 
 
-def _warm_shard(shard_id: int = 0) -> EngineShard:
-    shard = EngineShard(shard_id, CONFIG)
+def _warm_shard() -> ContinuousMonitor:
+    shard = ContinuousMonitor(CONFIG)
     for query in QUERIES[:4]:
-        shard.register(query)
+        shard.register_query(query)
     shard.process_batch(DOCUMENTS[:4])
     return shard
 
 
-def _state(shard: EngineShard):
+def _state(shard: ContinuousMonitor):
     """The shard's encoded state minus its one wall-clock measurement."""
     encoded = shard.snapshot_encoded()
     encoded["counters"] = dict(encoded["counters"], elapsed_seconds=0.0)
     return encoded
 
 
-def _handles(shard: EngineShard):
+def _handles(shard: ContinuousMonitor):
     def server():
         return ShardServer(shard, "test shard")
 
@@ -87,9 +88,9 @@ def _handles(shard: EngineShard):
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 class TestEveryRow:
-    def test_resolves_on_engine_shard(self, name):
+    def test_resolves_on_the_engine_host(self, name):
         entry = COMMANDS[name]
-        shard = EngineShard(0, CONFIG)
+        shard = ContinuousMonitor(CONFIG)
         assert hasattr(shard, entry.attr)
         assert callable(getattr(shard, entry.attr)) is not entry.is_property
 
@@ -118,9 +119,9 @@ class TestEveryRow:
 
 def _arguments(name: str):
     """Arguments of one mutating call, valid against ``_warm_shard()``."""
-    donor = EngineShard(1, CONFIG)
+    donor = ContinuousMonitor(CONFIG)
     for query in QUERIES[4:]:
-        donor.register(query)
+        donor.register_query(query)
     donor.process_batch(DOCUMENTS[:4])
     return {
         "process": (DOCUMENTS[4],),
@@ -139,8 +140,8 @@ def test_journal_record_replays_to_the_same_state_and_value(name):
     entry = COMMANDS[name]
     args = _arguments(name)
     fresh = name in ("adopt_encoded", "restore_encoded")
-    applied = EngineShard(0, CONFIG) if fresh else _warm_shard()
-    replayed = EngineShard(0, CONFIG) if fresh else _warm_shard()
+    applied = ContinuousMonitor(CONFIG) if fresh else _warm_shard()
+    replayed = ContinuousMonitor(CONFIG) if fresh else _warm_shard()
 
     value = entry.run(applied, args)
     kind, data = entry.record(args, 0)
@@ -154,7 +155,7 @@ def test_journal_record_replays_to_the_same_state_and_value(name):
 def test_membership_records_of_other_shards_are_skipped():
     kind, data = COMMANDS["register"].record((QUERIES[4],), 1)
     record = record_from_envelope({"v": codec.CODEC_VERSION, "lsn": 1, "kind": kind, "data": data})
-    shard = EngineShard(0, CONFIG)
+    shard = ContinuousMonitor(CONFIG)
     replay_record(shard, record, shard_id=0)
     assert shard.num_queries == 0
     replay_record(shard, record, shard_id=1)

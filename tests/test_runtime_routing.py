@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.config import MonitorConfig
 from repro.core.factory import available_algorithms, create_algorithm
+from repro.core.monitor import ContinuousMonitor
 from repro.core.registry import register_algorithm, unregister_algorithm
 from repro.exceptions import ConfigurationError, UnknownQueryError
 from repro.runtime.executors import SerialExecutor, make_executor
@@ -18,7 +19,6 @@ from repro.runtime.routing import (
     TermAffinityPolicy,
     make_policy,
 )
-from repro.runtime.shard import EngineShard
 from repro.runtime.sharded import ShardedMonitor
 from tests.helpers import make_query
 
@@ -139,14 +139,14 @@ class TestExecutors:
 class TestEngineShardSnapshot:
     def test_snapshot_restore_roundtrip_continues_stream(self, small_documents):
         config = MonitorConfig(algorithm="mrio", lam=0.1, max_amplification=50.0)
-        original = EngineShard(0, config)
+        original = ContinuousMonitor(config)
         for query in _queries([{i % 9: 1.0, (i + 3) % 9: 1.0} for i in range(30)]):
-            original.register(query)
+            original.register_query(query)
         half = len(small_documents) // 2
         for document in small_documents[:half]:
             original.process(document)
 
-        clone = EngineShard(1, MonitorConfig(algorithm="mrio", lam=0.1, max_amplification=50.0))
+        clone = ContinuousMonitor(MonitorConfig(algorithm="mrio", lam=0.1, max_amplification=50.0))
         clone.restore(original.snapshot())
 
         for document in small_documents[half:]:
@@ -159,14 +159,14 @@ class TestEngineShardSnapshot:
 
     def test_snapshot_includes_expiration_window(self, small_documents):
         config = MonitorConfig(algorithm="mrio", window_horizon=10.0)
-        original = EngineShard(0, config)
+        original = ContinuousMonitor(config)
         for query in _queries([{i % 5: 1.0} for i in range(10)]):
-            original.register(query)
+            original.register_query(query)
         for document in small_documents:
             original.process(document)
         assert original.live_window_size is not None
 
-        clone = EngineShard(1, MonitorConfig(algorithm="mrio", window_horizon=10.0))
+        clone = ContinuousMonitor(MonitorConfig(algorithm="mrio", window_horizon=10.0))
         clone.restore(original.snapshot())
         assert clone.live_window_size == original.live_window_size
 

@@ -29,6 +29,7 @@ import pytest
 from repro.core.config import MonitorConfig
 from repro.core.monitor import ContinuousMonitor
 from repro.metrics.counters import EventCounters
+from repro.persistence import codec
 from repro.runtime.sharded import ShardedMonitor
 
 SHARD_COUNTS = (1, 2, 4)
@@ -105,8 +106,43 @@ def _assert_identical_state(single, sharded, queries, exact=True, label=""):
             assert got_threshold == pytest.approx(want_threshold, rel=1e-12)
 
 
+def _encoded(host):
+    """Canonical bytes of a host's encoded state, minus its one timing field."""
+    encoded = host.snapshot_encoded()
+    encoded["counters"] = dict(encoded["counters"], elapsed_seconds=0.0)
+    return codec.canonical_dumps(encoded)
+
+
 class TestShardedEquivalence:
     """ShardedMonitor × {1, 2, 4} shards (serial executor) ≡ ContinuousMonitor."""
+
+    @pytest.mark.parametrize("window_horizon", [None, 12.0], ids=["unbounded", "window"])
+    @pytest.mark.parametrize("overrides", ALGORITHM_CONFIGS)
+    def test_a_shard_is_a_continuous_monitor(
+        self, overrides, window_horizon, small_queries, small_documents
+    ):
+        """One host: the same script through a bare monitor and through the
+        lone shard of a one-shard facade leaves byte-equal encoded state,
+        and ``restore_encoded(snapshot_encoded())`` is a fixed point."""
+        config = _config(overrides, window_horizon=window_horizon)
+        bare = ContinuousMonitor(config)
+        sharded = ShardedMonitor(config, n_shards=1, executor="serial")
+        for monitor in (bare, sharded):
+            monitor.register_queries(small_queries[:30])
+            for document in small_documents[:5]:
+                monitor.process(document)
+            monitor.unregister(small_queries[3].query_id)
+            monitor.process_batch(small_documents[5:20])
+            monitor.renormalize(small_documents[19].arrival_time)
+            monitor.register_queries(small_queries[30:36])
+            monitor.process_batch(small_documents[20:30])
+        (shard,) = sharded.shards
+        assert type(shard) is ContinuousMonitor
+        assert _encoded(shard) == _encoded(bare)
+
+        fresh = ContinuousMonitor(config)
+        fresh.restore_encoded(bare.snapshot_encoded())
+        assert _encoded(fresh) == _encoded(bare)
 
     @pytest.mark.parametrize("overrides", ALGORITHM_CONFIGS)
     def test_batched_ingestion_matches_single_monitor(
@@ -242,7 +278,7 @@ class TestMergedView:
             _config({"algorithm": "mrio"}), small_queries, small_documents, 4, "serial"
         )
         merged = sharded.statistics
-        by_hand = EventCounters.aggregate(shard.counters for shard in sharded.shards)
+        by_hand = EventCounters.aggregate(shard.statistics for shard in sharded.shards)
         for name, value in by_hand.snapshot().items():
             if name == "documents":
                 # Every shard sees every event; the facade reports the
