@@ -30,7 +30,7 @@ from repro.core.results import (
 )
 from repro.documents.decay import ExponentialDecay
 from repro.documents.document import Document
-from repro.exceptions import DuplicateQueryError, StreamError, UnknownQueryError
+from repro.exceptions import StreamError, UnknownQueryError
 from repro.metrics.counters import EventCounters
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.queries.query import Query
@@ -261,11 +261,8 @@ class StreamAlgorithm(abc.ABC):
             updates = self._process_batch_documents(docs, amplifications)
         finally:
             self._deferred_threshold_queries = None
-            queries = self.queries
             for query_id in dirty:
-                query = queries.get(query_id)
-                if query is not None:
-                    self._on_threshold_change(query)
+                self.notify_threshold_change(query_id)
         elapsed = time.perf_counter() - started
 
         self.counters.documents += len(docs)
@@ -330,10 +327,9 @@ class StreamAlgorithm(abc.ABC):
             return None
         self.counters.result_updates += 1
         if threshold_changed:
-            self.store.set_threshold(query_id, result.threshold)
             deferred = self._deferred_threshold_queries
             if deferred is None:
-                self._on_threshold_change(self.store.materialize(query_id))
+                self.notify_threshold_change(query_id)
             else:
                 deferred.add(query_id)
         return ResultUpdate(
@@ -497,10 +493,14 @@ class StreamAlgorithm(abc.ABC):
             self._on_threshold_change(query)
 
     def notify_threshold_change(self, query_id: QueryId) -> None:
-        """External notification that a query's threshold changed.
+        """A query's result heap moved its threshold: record it in the
+        store's ``S_k`` column and refresh the per-term structures.
 
-        Used by the window-expiration manager, whose re-evaluation can lower
-        a threshold — something normal stream processing never does.
+        The one place the scalar engines write that column — from
+        :meth:`offer`, from the batch-boundary flush of deferred changes
+        (engines that inline ``offer`` only mark the query dirty), and from
+        the window-expiration manager, whose re-evaluation can lower a
+        threshold, something normal stream processing never does.
         """
         query = self.store.materialize_or_none(query_id)
         if query is not None:

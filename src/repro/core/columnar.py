@@ -18,6 +18,13 @@ is a handful of array operations:
 4. a single ``scores > thresholds`` mask selects candidates, which are
    offered to the per-query heaps in arrival order.
 
+The slots are the :class:`~repro.queries.store.QueryStore`'s and the
+``S_k`` column the probe masks against is the store's threshold column,
+read and written here through a view.  :class:`StreamAlgorithm` already
+keeps that column current at every other event that moves a threshold
+(decay rebase, restore, window expiration), so this engine has no
+threshold hook of its own.
+
 Float-summation order contract
 ------------------------------
 
@@ -34,11 +41,12 @@ Replay-exact counters
 ---------------------
 
 Work counters are defined purely in terms of *live* queries and the
-documents' match structure — never in terms of slot-table layout (capacity,
-tombstones, chunk shape).  A restored engine compacts its slot table, so
-anything layout-dependent would diverge between an uninterrupted engine and
-a crash-recovered one.  Chunk boundaries are keyed off the live-query
-count for the same reason.
+documents' match structure — never in terms of slot-table layout (width,
+free slots, chunk shape).  A restored engine re-registers its queries
+densely while the captured one may carry free slots, so anything
+layout-dependent would diverge between an uninterrupted engine and a
+crash-recovered one.  Chunk boundaries are keyed off the live-query count
+for the same reason.
 
 numpy is a hard dependency of the package (declared in ``setup.py``): this
 probe is the only implementation, and the scalar MRIO engine — not a scalar
@@ -60,8 +68,8 @@ from repro.index.columnar import ColumnarQueryIndex
 from repro.queries.query import Query
 
 #: Upper bound on the dense accumulator size (documents x slots cells) of
-#: one probe chunk; ~16 MiB of float64 at the default.
-DEFAULT_CELL_BUDGET = 1 << 21
+#: one probe chunk; ~16 MiB of float64.
+CELL_BUDGET = 1 << 21
 
 
 @register_algorithm("columnar")
@@ -77,19 +85,11 @@ class ColumnarAlgorithm(StreamAlgorithm):
 
     name = "columnar"
 
-    def __init__(
-        self,
-        decay: Optional[ExponentialDecay] = None,
-        zone_size: int = 64,
-        cell_budget: int = DEFAULT_CELL_BUDGET,
-    ) -> None:
+    def __init__(self, decay: Optional[ExponentialDecay] = None) -> None:
         super().__init__(decay)
-        if cell_budget <= 0:
-            raise ValueError(f"cell_budget must be > 0, got {cell_budget}")
-        self.cell_budget = cell_budget
         # Shares the engine's packed definition store: the index keeps only
-        # membership + slot columns and joins weights in at rebuild time.
-        self.index = ColumnarQueryIndex(zone_size=zone_size, store=self.store)
+        # per-term membership and joins slots and weights in at rebuild time.
+        self.index = ColumnarQueryIndex(store=self.store)
 
     # ------------------------------------------------------------------ #
     # Structure hooks
@@ -101,23 +101,11 @@ class ColumnarAlgorithm(StreamAlgorithm):
     def _unregister_structures(self, query: Query) -> None:
         self.index.unregister(query)
 
-    def _on_threshold_change(self, query: Query) -> None:
-        # Exact refresh from the result heap: correct for both increases
-        # (stream processing) and decreases (window expiration).
-        self.index.set_threshold(query.query_id, self.results.threshold(query.query_id))
-
-    def _on_renormalize(self, factor: float) -> None:
-        # The heaps divided every score by ``factor``; dividing the packed
-        # threshold column by the same factor is the same IEEE operation,
-        # so the column stays bitwise equal to re-reading every heap.
-        self.index.scale_thresholds(factor)
-
     def _restore_structures(self, structures: Optional[Dict[str, object]] = None) -> None:
-        # The packed columns are pure functions of the registered queries
-        # (already re-registered by restore()); only the threshold column
-        # carries result state, reloaded here.  No structure history exists,
-        # so ``structures`` is always None and counters stay replay-exact.
-        self.index.refresh_thresholds(self.results.threshold)
+        """Nothing to refresh: the packed columns are pure functions of the
+        registered queries (already re-registered by ``restore()``), which
+        also reloaded the store's threshold column.  Overridden only because
+        the base default materializes every query."""
 
     # ------------------------------------------------------------------ #
     # Probe
@@ -132,28 +120,30 @@ class ColumnarAlgorithm(StreamAlgorithm):
         # Keyed off the *live* query count, not the slot-table width:
         # chunk boundaries influence pruning decisions (thresholds are
         # sampled per chunk) and therefore the work counters, which must
-        # not depend on how many tombstones the table happens to carry.
-        return max(1, self.cell_budget // max(1, self.index.num_live))
+        # not depend on how many free slots the table happens to carry.
+        return max(1, CELL_BUDGET // max(1, self.num_queries))
 
     def _process_batch_documents(
         self, documents: Sequence[Document], amplifications: Sequence[float]
     ) -> List[ResultUpdate]:
         updates: List[ResultUpdate] = []
-        index = self.index
+        store = self.store
         counters = self.counters
         counters.iterations += len(documents)
-        if index.size == 0 or index.num_live == 0:
+        num_live = len(store)
+        if num_live == 0:
             return updates
-        thresholds = index.thresholds_view()  # writable float64 view
-        slot_qids = index.qids_view()
-        num_live = index.num_live
+        # Views of the store's slot columns, taken afresh each call (a
+        # registration may have regrown them); free slots read -1 / +inf.
+        thresholds = store.thresholds_view()  # writable float64 view
+        slot_qids = store.qids_view()
+        size = store.capacity
         results_get = self.results.get
         chunk_rows = self._chunk_rows()
 
         term_keys, csr_starts, csr_ends, slot_col, weight_col, max_weights = (
-            index.global_view()
+            self.index.global_view()
         )
-        size = index.size
 
         for start in range(0, len(documents), chunk_rows):
             chunk = documents[start : start + chunk_rows]
@@ -208,7 +198,9 @@ class ColumnarAlgorithm(StreamAlgorithm):
             upper = np.bincount(
                 m_rows, weights=m_weights * max_weights[m_lookup], minlength=n_docs
             )
-            alive = (upper * amps) > index.min_live_threshold()
+            # The smallest live S_k (free slots hold +inf): a document whose
+            # amplified bound is at or below it cannot enter any top-k.
+            alive = (upper * amps) > thresholds.min()
             n_alive = int(np.count_nonzero(alive))
             counters.bound_computations += n_alive * num_live
             if n_alive == 0:

@@ -87,7 +87,7 @@ class MonitorSurface:
         query = Query(
             query_id=self._take_query_id(),
             vector=l2_normalize(vector),
-            k=k or self.config.default_k,  # type: ignore[attr-defined]
+            k=self.config.default_k if k is None else k,  # type: ignore[attr-defined]
             user=user,
         )
         return self.register_query(query)  # type: ignore[attr-defined]
@@ -440,10 +440,7 @@ class ContinuousMonitor(MonitorSurface):
         self.algorithm.restore(state)
         if self._expiration is not None and "expiration" in state:
             self._expiration.restore(state["expiration"])  # type: ignore[arg-type]
-        self._next_query_id = max(
-            (query_id + 1 for query_id in self.algorithm.queries),
-            default=self._next_query_id,
-        )
+        self.ensure_next_query_id(max(self.algorithm.queries, default=-1) + 1)
 
     def snapshot_encoded(self, include_structures: bool = True) -> Dict[str, object]:
         """The full state in the persistence codec's encoded form — exactly

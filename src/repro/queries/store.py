@@ -11,16 +11,22 @@ flat columns instead:
   dense ``tid`` once, stable for the lifetime of the store (the packed
   per-query spans reference tids, so vectors sharing terms share vocabulary
   entries);
-* per-slot columns — packed int64 query ids, int32 ``k``, span offsets and
-  a float64 threshold column mirroring the last propagated ``S_k``;
+* per-slot columns — int64 query ids, int32 ``k``, span offsets and *the*
+  float64 threshold column holding every query's last propagated ``S_k``.
+  This slot table is the engine's only one: the columnar index addresses
+  its postings by these slots and the vectorized probe reads and writes
+  the threshold column through a view, so the id and threshold columns are
+  numpy-backed (doubling growth) and a free slot reads ``-1`` / ``+inf``
+  — a ``min`` or a ``score > threshold`` mask over the whole column needs
+  no liveness test;
 * one contiguous **term/weight heap** holding every query's ``(tid,
   weight)`` span *in original vector order* (the iteration order of a
   query's vector is load-bearing: the canonical summation contract and the
   persistence codec both preserve it);
 * a **free-list** of slots: unregistration frees the slot for the next
-  registration, so slot-table width is bounded by the peak live count, and
-  the heap spans of dead slots are tombstoned and rebuilt amortizedly —
-  the same discipline the columnar index applies to its slot table.
+  registration, so slot-table width is bounded by the peak live count
+  and no slot ever moves; only the heap spans of freed slots are
+  tombstoned and rebuilt amortizedly.
 
 No ``Query`` object is retained: registration copies the definition into
 the columns and drops the object; readers *materialize* transient
@@ -30,7 +36,7 @@ of vectors that were validated when first registered) only on cold paths.
 :class:`RegisteredQueries` is a read-only :class:`~collections.abc.Mapping`
 facade (``query id -> materialized Query``) that keeps the historical
 ``algorithm.queries`` dict surface working unchanged, and :class:`SlotMap`
-is the dense-first ``query id -> slot`` map shared with the columnar index.
+is the store's dense-first ``query id -> slot`` map.
 """
 
 from __future__ import annotations
@@ -39,14 +45,15 @@ from array import array
 from collections.abc import Mapping as _MappingABC
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.exceptions import DuplicateQueryError, UnknownQueryError
 from repro.queries.query import Query
 from repro.types import QueryId, TermId
 
 #: Rebuild the packed term/weight heap once at least this many entries are
-#: dead *and* dead entries outnumber live ones (mirrors the columnar
-#: tombstone thresholds so churn storms cannot leak heap memory while tiny
-#: stores never thrash).
+#: dead *and* dead entries outnumber half the live ones (churn storms
+#: cannot leak heap memory while tiny stores never thrash).
 HEAP_COMPACT_MIN_DEAD = 1024
 HEAP_COMPACT_DEAD_FRACTION = 0.5
 
@@ -54,6 +61,7 @@ _ID_TYPECODE = "q"  # packed signed 64-bit
 _TID_TYPECODE = "l" if array("l").itemsize == 4 else "i"  # 32-bit dense tids
 _K_TYPECODE = _TID_TYPECODE
 _WEIGHT_TYPECODE = "d"  # float64 — weights must round-trip bit-exactly
+_INF = float("inf")
 
 
 class SlotMap:
@@ -123,11 +131,6 @@ class SlotMap:
             self._live -= 1
         return slot
 
-    def clear(self) -> None:
-        self._dense = array(_ID_TYPECODE)
-        self._sparse.clear()
-        self._live = 0
-
     def nbytes(self) -> int:
         """Approximate resident size of the map's payload."""
         return len(self._dense) * self._dense.itemsize + 64 * len(self._sparse)
@@ -165,12 +168,15 @@ class QueryStore:
         # is stable for the lifetime of the store (interning stability).
         self._tid_of_term: Dict[TermId, int] = {}
         self._term_of_tid: array = array(_ID_TYPECODE)
-        # Per-slot columns.  A freed slot holds qid -1 until reused.
-        self._slot_qids: array = array(_ID_TYPECODE)
+        # Per-slot columns; the table is ``len(self._slot_ks)`` slots wide.
+        # The qid and threshold columns are numpy buffers (positions past
+        # the width are spare capacity) because the columnar probe masks
+        # them whole; a free slot holds qid -1 / threshold +inf until reused.
+        self._slot_qids = np.empty(0, dtype=np.int64)
+        self._slot_thresholds = np.empty(0, dtype=np.float64)
         self._slot_ks: array = array(_K_TYPECODE)
         self._slot_starts: array = array(_ID_TYPECODE)
         self._slot_lengths: array = array(_K_TYPECODE)
-        self._slot_thresholds: array = array(_WEIGHT_TYPECODE)
         # Contiguous (tid, weight) spans, one per live slot, vector order.
         self._heap_terms: array = array(_TID_TYPECODE)
         self._heap_weights: array = array(_WEIGHT_TYPECODE)
@@ -199,11 +205,8 @@ class QueryStore:
     def query_ids(self) -> Iterator[QueryId]:
         """Live query ids in ascending slot order (deterministic for a
         given operation history, independent of id magnitudes)."""
-        qids = self._slot_qids
-        for slot in range(len(qids)):
-            qid = qids[slot]
-            if qid >= 0:
-                yield qid
+        qids = self.qids_view()
+        return iter(qids[qids >= 0].tolist())
 
     # ------------------------------------------------------------------ #
     # Registration / unregistration
@@ -242,22 +245,33 @@ class QueryStore:
         length = len(heap_terms) - start
         if self._free_slots:
             slot = self._free_slots.pop()
-            self._slot_qids[slot] = query_id
             self._slot_ks[slot] = query.k
             self._slot_starts[slot] = start
             self._slot_lengths[slot] = length
-            self._slot_thresholds[slot] = 0.0
         else:
-            slot = len(self._slot_qids)
-            self._slot_qids.append(query_id)
+            slot = len(self._slot_ks)
+            if slot == len(self._slot_qids):
+                self._grow_slot_columns()
             self._slot_ks.append(query.k)
             self._slot_starts.append(start)
             self._slot_lengths.append(length)
-            self._slot_thresholds.append(0.0)
+        self._slot_qids[slot] = query_id
+        self._slot_thresholds[slot] = 0.0
         self._slot_map.set(query_id, slot)
         if query.user is not None:
             self._users[query_id] = query.user
         return slot
+
+    def _grow_slot_columns(self) -> None:
+        """Double the numpy-backed columns; spare capacity reads as free."""
+        width = self.capacity
+        capacity = max(16, 2 * width)
+        qids = np.full(capacity, -1, dtype=np.int64)
+        qids[:width] = self._slot_qids
+        thresholds = np.full(capacity, _INF, dtype=np.float64)
+        thresholds[:width] = self._slot_thresholds
+        self._slot_qids = qids
+        self._slot_thresholds = thresholds
 
     def unregister(self, query_id: QueryId) -> None:
         """Free the query's slot (reused by the next registration) and
@@ -266,6 +280,7 @@ class QueryStore:
         if slot is None:
             raise UnknownQueryError(f"query {query_id} is not registered")
         self._slot_qids[slot] = -1
+        self._slot_thresholds[slot] = _INF
         self._heap_dead += self._slot_lengths[slot]
         self._free_slots.append(slot)
         self._users.pop(query_id, None)
@@ -286,12 +301,9 @@ class QueryStore:
         old_weights = self._heap_weights
         new_terms: array = array(_TID_TYPECODE)
         new_weights: array = array(_WEIGHT_TYPECODE)
-        qids = self._slot_qids
         starts = self._slot_starts
         lengths = self._slot_lengths
-        for slot in range(len(qids)):
-            if qids[slot] < 0:
-                continue
+        for slot in np.flatnonzero(self.qids_view() >= 0).tolist():
             start = starts[slot]
             end = start + lengths[slot]
             starts[slot] = len(new_terms)
@@ -368,32 +380,46 @@ class QueryStore:
         return self.materialize(query_id)
 
     # ------------------------------------------------------------------ #
-    # Threshold column
+    # Slot columns the vectorized probe masks whole
     # ------------------------------------------------------------------ #
 
+    def qids_view(self):
+        """The per-slot query-id column for slots ``[0, capacity)`` (-1 = free)."""
+        return self._slot_qids[: self.capacity]
+
+    def thresholds_view(self):
+        """The per-slot ``S_k`` column for slots ``[0, capacity)``.
+
+        A *view*, valid until the next registration: the columnar probe
+        takes it at the top of each call and writes accepted-offer
+        thresholds straight through it.  Free slots hold ``+inf``, so a
+        vectorized ``score > threshold`` mask can never select them and the
+        column's ``min`` is the smallest live ``S_k``.
+        """
+        return self._slot_thresholds[: self.capacity]
+
     def set_threshold(self, query_id: QueryId, threshold: float) -> None:
-        """Mirror the last propagated ``S_k`` into the packed column."""
+        """Record the query's newly propagated ``S_k``."""
         self._slot_thresholds[self.slot_of(query_id)] = threshold
 
     def threshold_of(self, query_id: QueryId) -> float:
-        return self._slot_thresholds[self.slot_of(query_id)]
+        return float(self._slot_thresholds[self.slot_of(query_id)])
 
     def scale_thresholds(self, factor: float) -> None:
-        """Divide every live threshold by ``factor`` (decay rebase)."""
-        thresholds = self._slot_thresholds
-        qids = self._slot_qids
-        for slot in range(len(qids)):
-            if qids[slot] >= 0:
-                thresholds[slot] /= factor
+        """Divide every threshold by ``factor`` (decay rebase).
+
+        The same IEEE-754 division the result heaps apply to every stored
+        score, so the column stays bitwise equal to re-reading each heap;
+        free slots stay at ``+inf``.
+        """
+        self._slot_thresholds /= factor
 
     def refresh_thresholds(self, threshold_of) -> None:
-        """Reload every live threshold via ``threshold_of(query_id)``."""
-        qids = self._slot_qids
-        thresholds = self._slot_thresholds
-        for slot in range(len(qids)):
-            qid = qids[slot]
-            if qid >= 0:
-                thresholds[slot] = threshold_of(qid)
+        """Reload every live threshold via ``threshold_of(query_id)``
+        (snapshot restore, where thresholds may move in both directions)."""
+        qids = self.qids_view()
+        live = np.flatnonzero(qids >= 0)
+        self._slot_thresholds[live] = [threshold_of(qid) for qid in qids[live].tolist()]
 
     # ------------------------------------------------------------------ #
     # Introspection (benchmarks, property tests)
@@ -402,7 +428,7 @@ class QueryStore:
     @property
     def capacity(self) -> int:
         """Slot-table width (bounded by the peak live count)."""
-        return len(self._slot_qids)
+        return len(self._slot_ks)
 
     @property
     def free_slot_count(self) -> int:
@@ -423,21 +449,22 @@ class QueryStore:
     def nbytes(self) -> int:
         """Approximate resident payload of the packed columns.
 
-        Counts the array buffers plus a nominal per-entry cost for the two
-        side dicts (vocabulary and sparse slots); used by the scale bench to
-        report bytes/query from the store's own accounting next to RSS.
+        Counts the columns' used width (spare capacity — array
+        over-allocation, the numpy columns' doubling headroom — is not
+        payload) plus a nominal per-entry cost for the two side dicts
+        (vocabulary and sparse slots); used by the scale bench to report
+        bytes/query from the store's own accounting next to RSS.
         """
         arrays = (
             self._term_of_tid,
-            self._slot_qids,
             self._slot_ks,
             self._slot_starts,
             self._slot_lengths,
-            self._slot_thresholds,
             self._heap_terms,
             self._heap_weights,
         )
         total = sum(len(column) * column.itemsize for column in arrays)
+        total += self.qids_view().nbytes + self.thresholds_view().nbytes
         total += 64 * (len(self._tid_of_term) + len(self._users))
         total += 8 * len(self._free_slots)
         total += self._slot_map.nbytes()

@@ -7,6 +7,7 @@ slow and would obscure the minimal failing examples hypothesis shrinks to.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence, Tuple
 
 from hypothesis import strategies as st
@@ -40,6 +41,28 @@ def sparse_vector_strategy(
     )
 
 
+def assert_threshold_column_matches_heaps(algorithm) -> None:
+    """The store's threshold column is *the* propagated ``S_k``: for every
+    live query it equals the result heap's threshold, and every free slot
+    reads ``+inf`` (so vectorized masks and ``min`` need no liveness test)."""
+    store = algorithm.store
+    qids = store.qids_view()
+    thresholds = store.thresholds_view()
+    assert len(qids) == len(thresholds) == store.capacity
+    live = 0
+    for slot in range(store.capacity):
+        query_id = int(qids[slot])
+        if query_id < 0:
+            assert thresholds[slot] == math.inf, f"free slot {slot} is not +inf"
+        else:
+            live += 1
+            assert store.slot_of(query_id) == slot
+            assert thresholds[slot] == algorithm.results.threshold(query_id), (
+                f"store threshold of query {query_id} is stale"
+            )
+    assert live == len(store) == store.capacity - store.free_slot_count
+
+
 def brute_force_topk(
     query: Query, documents: Sequence[Document], lam: float
 ) -> List[Tuple[int, float]]:
@@ -48,8 +71,6 @@ def brute_force_topk(
     Earlier documents win ties (mirroring the strict-acceptance rule of the
     incremental result maintenance).
     """
-    import math
-
     scored = []
     for document in documents:
         similarity = sum(

@@ -28,7 +28,12 @@ from repro.core.factory import create_algorithm
 from repro.documents.decay import ExponentialDecay
 from repro.runtime.sharded import ShardedMonitor
 
-from tests.helpers import make_document, make_query, sparse_vector_strategy
+from tests.helpers import (
+    assert_threshold_column_matches_heaps,
+    make_document,
+    make_query,
+    sparse_vector_strategy,
+)
 
 LAM = 1e-3
 
@@ -97,6 +102,16 @@ def replay(algorithm, steps, documents, batch_size=None):
     flush()
 
 
+def _peak_live(steps):
+    """The largest number of simultaneously registered queries in ``steps``."""
+    live = peak = 0
+    for step, _ in steps:
+        if step != "process":
+            live += 1 if step == "register" else -1
+            peak = max(peak, live)
+    return peak
+
+
 def assert_bitwise_equal(candidate, oracle, queries, label=""):
     for query in queries:
         got = candidate.top_k(query.query_id)
@@ -125,6 +140,58 @@ class TestChurnStormDifferential:
         assert_bitwise_equal(
             candidate, oracle, survivors, label=f"{engine}@{batch_size}"
         )
+        peak_live = _peak_live(steps)
+        for algorithm in (oracle, candidate):
+            # One slot table, reused through the free list: never wider
+            # than the peak live population, its S_k column never stale.
+            assert algorithm.store.capacity <= peak_live
+            assert_threshold_column_matches_heaps(algorithm)
+
+    def test_columnar_storm_counters_are_pinned(self, small_queries, small_documents):
+        """Literal work counters of one seeded storm, written down at the
+        commit before the index lost its private slot table: counts are
+        defined on live queries and match structure, never on slot layout,
+        so no relayout of the slot space may move them."""
+        steps, _ = storm_schedule(small_queries[:80], len(small_documents))
+        columnar = create_algorithm("columnar", ExponentialDecay(lam=LAM))
+        replay(columnar, steps, small_documents, batch_size=8)
+        counters = columnar.counters.snapshot()
+        counters.pop("elapsed_seconds")
+        assert counters == {
+            "documents": 40,
+            "full_evaluations": 516,
+            "iterations": 40,
+            "postings_scanned": 625,
+            "bound_computations": 1662,
+            "result_updates": 312,
+        }
+
+    @pytest.mark.parametrize("engine", ("mrio", "columnar"))
+    def test_reused_slot_inherits_nothing(self, engine):
+        """``q`` leaves, ``q'`` — sharing no term with ``q`` — takes its
+        slot, then a document matching only ``q``'s terms arrives: no
+        posting may still address the slot, so no offer reaches ``q'``."""
+        algorithm = create_algorithm(engine, ExponentialDecay(lam=LAM))
+        bystander = make_query(0, {1: 1.0}, k=2)
+        leaver = make_query(1, {2: 1.0, 3: 2.0}, k=2)
+        algorithm.register_all([bystander, leaver])
+        algorithm.process_batch([make_document(0, {1: 1.0, 2: 1.0, 3: 1.0}, 1.0)])
+        assert algorithm.top_k(1), "the leaver's terms were live"
+        slot = algorithm.store.slot_of(1)
+
+        algorithm.unregister(1)
+        newcomer = make_query(2, {7: 1.0, 8: 1.0}, k=2)
+        algorithm.register(newcomer)
+        assert algorithm.store.slot_of(2) == slot
+        assert algorithm.store.capacity == 2
+
+        updates = algorithm.process_batch([make_document(1, {2: 1.0, 3: 1.0}, 2.0)])
+        assert updates == []
+        assert algorithm.top_k(2) == []
+        assert algorithm.threshold(2) == 0.0
+        updates = algorithm.process_batch([make_document(2, {7: 1.0}, 3.0)])
+        assert [update.query_id for update in updates] == [2]
+        assert_threshold_column_matches_heaps(algorithm)
 
     def test_mrio_storm_state_is_history_independent(
         self, small_queries, small_documents
@@ -222,3 +289,6 @@ class TestRandomizedChurn:
         replay(oracle, steps, documents, batch_size)
         replay(candidate, steps, documents, batch_size)
         assert_bitwise_equal(candidate, oracle, survivors, label="hypothesis-storm")
+        for algorithm in (candidate, oracle):
+            assert algorithm.store.capacity <= _peak_live(steps)
+            assert_threshold_column_matches_heaps(algorithm)

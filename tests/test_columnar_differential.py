@@ -29,7 +29,12 @@ from repro.core.monitor import ContinuousMonitor
 from repro.documents.decay import ExponentialDecay
 from repro.runtime.sharded import ShardedMonitor
 
-from tests.helpers import make_document, make_query, sparse_vector_strategy
+from tests.helpers import (
+    assert_threshold_column_matches_heaps,
+    make_document,
+    make_query,
+    sparse_vector_strategy,
+)
 
 #: Every scalar algorithm configuration of the integration grid.
 SCALAR_CONFIGS = [
@@ -143,6 +148,35 @@ class TestFullGridDifferential:
         _drive(batched, queries, small_documents, 64)
         _assert_bitwise_equal(batched, per_event, _live_queries(queries))
 
+    def test_multi_chunk_probe_equals_single_chunk_and_mrio(
+        self, monkeypatch, small_queries, small_documents
+    ):
+        """Every tier-1 population fits one probe chunk at the real cell
+        budget; shrink it to ~3 rows per chunk so a 16-document batch
+        crosses chunk boundaries.  Chunk boundaries are keyed on the live
+        count, so results *and* work counters must not move."""
+        queries = small_queries[:60]
+
+        def run(name):
+            algorithm = create_algorithm(name, ExponentialDecay(lam=LAM))
+            _drive(algorithm, queries, small_documents, 16)
+            counters = algorithm.counters.snapshot()
+            counters.pop("elapsed_seconds")
+            return algorithm, counters
+
+        mrio, _ = run("mrio")
+        single, single_counters = run("columnar")
+        assert single._chunk_rows() > 16
+        monkeypatch.setattr("repro.core.columnar.CELL_BUDGET", 3 * len(queries))
+        chunked, chunked_counters = run("columnar")
+        assert chunked._chunk_rows() == 3
+
+        live = _live_queries(queries)
+        _assert_bitwise_equal(chunked, single, live, label="multi-chunk")
+        _assert_bitwise_equal(chunked, mrio, live, label="multi-chunk-vs-mrio")
+        assert chunked_counters == single_counters
+        assert_threshold_column_matches_heaps(chunked)
+
 
 class TestSummationOrderContract:
     """The float-summation order contract: ascending term id, one IEEE add
@@ -240,6 +274,8 @@ class TestExpirationAndRenormalization:
             label="expiration",
         )
         for monitor in monitors.values():
+            # Expiration lowers thresholds; the column must follow.
+            assert_threshold_column_matches_heaps(monitor.algorithm)
             monitor.close()
 
     def test_aggressive_renormalization_matches_mrio(self, small_queries, small_documents):
@@ -257,10 +293,13 @@ class TestExpirationAndRenormalization:
         _assert_bitwise_equal(
             engines["columnar"], engines["mrio"], small_queries, label="renormalize"
         )
+        for algorithm in engines.values():
+            assert_threshold_column_matches_heaps(algorithm)
 
     def test_compaction_storm_preserves_results(self, small_queries, small_documents):
-        """Unregistering most of the population triggers slot compaction
-        mid-stream; the survivors' results must not move a bit."""
+        """Unregistering most of the population mid-stream leaves the slot
+        table three-quarters free; the survivors' results must not move a
+        bit (nothing is compacted: their slots stay where they were)."""
         queries = small_queries
         mrio = create_algorithm("mrio", ExponentialDecay(lam=LAM))
         columnar = create_algorithm("columnar", ExponentialDecay(lam=LAM))
@@ -273,23 +312,24 @@ class TestExpirationAndRenormalization:
             for document in small_documents[15:]:
                 algorithm.process(document)
         assert isinstance(columnar, ColumnarAlgorithm)
-        # Compaction reclaimed the tombstoned slots: the slot table is
-        # smaller than the peak population, and the auto-trigger invariant
-        # (never more than half-dead once past the minimum) holds.
-        index = columnar.index
-        assert index.size < len(queries), "compaction should have fired"
-        assert not (index.dead >= 32 and index.dead > index.size * 0.5)
+        # The one slot table never outgrew the peak population, and the
+        # freed slots wait on the store's free list for the next arrivals.
+        store = columnar.store
+        assert store.capacity <= len(queries)
+        assert store.free_slot_count == (3 * len(queries)) // 4
+        assert store.capacity - store.free_slot_count == columnar.index.num_live
         survivors = queries[(3 * len(queries)) // 4 :]
         _assert_bitwise_equal(columnar, mrio, survivors, label="compaction")
+        assert_threshold_column_matches_heaps(columnar)
 
 
 class TestSnapshotRestoreLayoutIndependence:
-    """A restored engine compacts its slot table while the captured one may
-    carry tombstones; work counters are defined layout-independently, so
+    """A restored engine registers densely while the captured one may
+    carry free slots; work counters are defined layout-independently, so
     replaying the same suffix on both must stay exact — the property
     ``DurableMonitor`` crash recovery depends on."""
 
-    def test_codec_roundtrip_replay_exact_despite_tombstones(
+    def test_codec_roundtrip_replay_exact_despite_free_slots(
         self, small_queries, small_documents
     ):
         from repro.persistence import codec
@@ -298,14 +338,15 @@ class TestSnapshotRestoreLayoutIndependence:
         original.register_all(small_queries)
         for start in range(0, 20, 4):
             original.process_batch(small_documents[start : start + 4])
-        for query in small_queries[:10]:  # leave tombstones, below the
-            original.unregister(query.query_id)  # compaction trigger
-        assert original.index.dead > 0
+        for query in small_queries[:10]:  # leave holes in the slot table
+            original.unregister(query.query_id)
+        assert original.store.free_slot_count == 10
 
         line = codec.pack_line(codec.encode_monitor_state(original.snapshot()))
         restored = create_algorithm("columnar", ExponentialDecay(lam=LAM))
         restored.restore(codec.decode_monitor_state(codec.unpack_line(line)))
-        assert restored.index.dead == 0  # restore re-registers densely
+        assert restored.store.free_slot_count == 0  # re-registered densely
+        assert restored.store.capacity < original.store.capacity
 
         # Same capture again, byte for byte, through the codec.
         assert codec.canonical_dumps(
@@ -323,6 +364,8 @@ class TestSnapshotRestoreLayoutIndependence:
         counters_b.pop("elapsed_seconds")
         assert counters_a == counters_b
         _assert_bitwise_equal(restored, original, small_queries[10:], label="restore")
+        for algorithm in (original, restored):
+            assert_threshold_column_matches_heaps(algorithm)
 
 
 class TestRandomizedDifferential:
@@ -356,3 +399,5 @@ class TestRandomizedDifferential:
         _assert_bitwise_equal(
             columnar, mrio, _live_queries(queries, churn=churn), label="hypothesis"
         )
+        for algorithm in (columnar, mrio):
+            assert_threshold_column_matches_heaps(algorithm)

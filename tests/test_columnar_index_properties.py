@@ -1,44 +1,43 @@
 """Property tests: the packed columnar index against a dict-based model.
 
 :class:`~repro.index.columnar.ColumnarQueryIndex` maintains term-partitioned
-packed columns, a slot table with tombstones, amortized compaction and zone
-metadata.  These tests drive random register/unregister/threshold sequences
-through the index and an obviously-correct dict model in lockstep, then
-check the structural invariants the engine's vectorized probe relies on:
+packed columns and zone metadata, addressed by the slots of the
+:class:`~repro.queries.store.QueryStore` (the engine's only slot table; the
+store's own columns — thresholds included — are covered by
+``tests/test_query_store_properties.py``).  These tests drive random
+register/unregister sequences through the index and an obviously-correct
+dict model in lockstep, standalone (private store) and engine-style (shared
+store, registered first), then check the structural invariants the
+engine's vectorized probe relies on:
 
 * packed columns are ID-ordered (query ids strictly ascending per term) and
   agree exactly with the model's membership and weights;
-* slot mapping is consistent (bijective over live queries, tombstones hold
-  ``-1``/``+inf``) and compaction leaves no orphan slots;
+* slot addressing is consistent: bijective over live queries, every
+  posting carries its query's *store* slot, and slots freed by churn are
+  reused instead of widening the table (no orphan slots);
 * zone offsets are sorted, start at 0, step by ``zone_size`` and cover the
   column; zone maxima are *true* upper bounds (and tight) for their zones;
-* the auto-compaction trigger keeps the dead fraction bounded;
-* thresholds round-trip per slot and ``min_live_threshold`` matches the
-  model.
+* the spliced global CSR equals a from-scratch build over the same state.
 """
 
 from __future__ import annotations
 
-import math
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import DuplicateQueryError, UnknownQueryError
-from repro.index.columnar import (
-    COMPACT_MIN_DEAD,
-    ColumnarQueryIndex,
-    TermPostings,
-)
+from repro.index.columnar import ColumnarQueryIndex, TermPostings
+from repro.queries.store import QueryStore
 
 from tests.helpers import make_query, sparse_vector_strategy
 
 
 @st.composite
 def operation_sequences(draw):
-    """A random interleaving of registrations, unregistrations and
-    threshold updates over a small query population."""
+    """A random interleaving of registrations and unregistrations over a
+    small query population."""
     num_queries = draw(st.integers(min_value=1, max_value=60))
     vectors = [
         draw(sparse_vector_strategy(vocab_size=15, max_terms=4))
@@ -54,35 +53,32 @@ def operation_sequences(draw):
                 draw(st.integers(min_value=0, max_value=len(registered) - 1))
             )
             operations.append(("unregister", victim, None))
-        if registered and draw(st.booleans()):
-            target = registered[
-                draw(st.integers(min_value=0, max_value=len(registered) - 1))
-            ]
-            threshold = draw(
-                st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
-            )
-            operations.append(("threshold", target, threshold))
     return operations
 
 
-def _replay(operations, zone_size=4):
-    """Drive the index and the dict model through the same operations."""
-    index = ColumnarQueryIndex(zone_size=zone_size)
+def _replay(operations, zone_size=4, shared_store=False):
+    """Drive the index and the dict model through the same operations.
+
+    ``shared_store`` mirrors an owning engine: the definition enters the
+    store before the index and leaves it after.
+    """
+    store = QueryStore() if shared_store else None
+    index = ColumnarQueryIndex(zone_size=zone_size, store=store)
     model_queries = {}  # query_id -> Query
-    model_thresholds = {}  # query_id -> float
+    peak_live = 0
     for op, query_id, payload in operations:
         if op == "register":
             query = make_query(query_id, payload, k=3)
-            index.register(query)
+            if shared_store:
+                store.register(query)
+            assert index.register(query) == index.store.slot_of(query_id)
             model_queries[query_id] = query
-            model_thresholds[query_id] = 0.0
-        elif op == "unregister":
-            index.unregister(model_queries.pop(query_id))
-            del model_thresholds[query_id]
+            peak_live = max(peak_live, len(model_queries))
         else:
-            index.set_threshold(query_id, payload)
-            model_thresholds[query_id] = payload
-    return index, model_queries, model_thresholds
+            index.unregister(model_queries.pop(query_id))
+            if shared_store:
+                store.unregister(query_id)
+    return index, model_queries, peak_live
 
 
 def _model_terms(model_queries):
@@ -94,30 +90,24 @@ def _model_terms(model_queries):
     return members
 
 
-def _check_invariants(index, model_queries, model_thresholds):
-    # --- slot table -----------------------------------------------------
+def _check_invariants(index, model_queries, peak_live):
+    # --- slot addressing (the store's table) ----------------------------
+    store = index.store
     assert index.num_live == len(model_queries)
-    qids = index.qids_view()
-    thresholds = index.thresholds_view()
+    qids = store.qids_view()
     seen_slots = set()
     for query_id in model_queries:
-        slot = index.slot_of(query_id)
-        assert 0 <= slot < index.size
+        slot = store.slot_of(query_id)
+        assert 0 <= slot < store.capacity
         assert slot not in seen_slots, "two queries share a slot"
         seen_slots.add(slot)
         assert int(qids[slot]) == query_id
-        assert thresholds[slot] == model_thresholds[query_id]
-    for slot in range(index.size):
-        if slot not in seen_slots:  # tombstone
+    for slot in range(store.capacity):
+        if slot not in seen_slots:  # free, awaiting reuse
             assert int(qids[slot]) == -1
-            assert thresholds[slot] == math.inf
-    # Auto-compaction keeps the dead fraction bounded.
-    assert not (
-        index.dead >= COMPACT_MIN_DEAD and index.dead > index.size * 0.5
-    ), f"compaction trigger violated: dead={index.dead} size={index.size}"
-    # min_live_threshold matches the model.
-    expected_min = min(model_thresholds.values()) if model_thresholds else math.inf
-    assert index.min_live_threshold() == expected_min
+    # Freed slots are reused: nothing is tombstoned, nothing compacted.
+    assert store.capacity <= peak_live
+    assert store.capacity == len(model_queries) + store.free_slot_count
 
     # --- packed term columns -------------------------------------------
     model_members = _model_terms(model_queries)
@@ -134,6 +124,7 @@ def _check_invariants(index, model_queries, model_thresholds):
         for position in range(len(postings)):
             query_id = int(postings.qids[position])
             slot = int(postings.slots[position])
+            assert slot == store.slot_of(query_id), "posting addresses a foreign slot"
             assert int(qids[slot]) == query_id, "orphan slot in packed column"
             assert postings.weights[position] == members[query_id]
 
@@ -157,34 +148,45 @@ def _check_invariants(index, model_queries, model_thresholds):
     assert index.term(9999) is None
 
 
+def _assert_splice_equals_fresh_build(index):
+    """The incrementally spliced CSR is bit-identical to a full rebuild."""
+    if index._global_changed:  # the splice itself, whatever global_view picks
+        index._splice_global()
+    spliced = index.global_view()
+    index._global = None
+    rebuilt = index.global_view()
+    assert len(spliced) == len(rebuilt)
+    for spliced_column, rebuilt_column in zip(spliced, rebuilt):
+        assert np.array_equal(spliced_column, rebuilt_column)
+
+
 class TestPackedIndexProperties:
     @settings(max_examples=60, deadline=None)
-    @given(operations=operation_sequences())
-    def test_random_churn_matches_dict_model(self, operations):
-        index, model_queries, model_thresholds = _replay(operations)
-        _check_invariants(index, model_queries, model_thresholds)
+    @given(operations=operation_sequences(), shared_store=st.booleans())
+    def test_random_churn_matches_dict_model(self, operations, shared_store):
+        index, model_queries, peak_live = _replay(
+            operations, shared_store=shared_store
+        )
+        _check_invariants(index, model_queries, peak_live)
 
     @settings(max_examples=30, deadline=None)
-    @given(operations=operation_sequences())
-    def test_forced_compaction_leaves_no_orphans(self, operations):
-        index, model_queries, model_thresholds = _replay(operations)
-        index.compact()
-        assert index.size == index.num_live
-        assert index.dead == 0
-        qids = index.qids_view()
-        assert all(int(qids[slot]) >= 0 for slot in range(index.size))
-        _check_invariants(index, model_queries, model_thresholds)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        operations=operation_sequences(),
-        factor=st.floats(min_value=1.0001, max_value=100.0, allow_nan=False),
-    )
-    def test_threshold_scaling_matches_scalar_division(self, operations, factor):
-        index, model_queries, model_thresholds = _replay(operations)
-        index.scale_thresholds(factor)
-        scaled = {qid: thr / factor for qid, thr in model_thresholds.items()}
-        _check_invariants(index, model_queries, scaled)
+    @given(operations=operation_sequences(), cut=st.integers(min_value=0, max_value=200))
+    def test_spliced_global_view_matches_fresh_build(self, operations, cut):
+        """Build the CSR mid-sequence, keep churning (slots get reused),
+        splice: same columns as building from scratch at the end."""
+        cut = min(cut, len(operations))
+        index, model_queries, _ = _replay(operations[:cut])
+        index.global_view()
+        for op, query_id, payload in operations[cut:]:
+            if op == "register":
+                model_queries[query_id] = make_query(query_id, payload, k=3)
+                index.register(model_queries[query_id])
+            else:
+                index.unregister(model_queries.pop(query_id))
+        _assert_splice_equals_fresh_build(index)
+        slot_col = index.global_view()[3]
+        live_slots = {index.store.slot_of(query_id) for query_id in model_queries}
+        assert set(slot_col.tolist()) <= live_slots
 
 
 class TestPackedIndexEdgeCases:
@@ -199,17 +201,48 @@ class TestPackedIndexEdgeCases:
         index = ColumnarQueryIndex()
         with pytest.raises(UnknownQueryError):
             index.unregister(make_query(1, {1: 1.0}, k=2))
+
+    def test_shared_store_must_hold_the_definition_first(self):
+        index = ColumnarQueryIndex(store=QueryStore())
         with pytest.raises(UnknownQueryError):
-            index.slot_of(1)
+            index.register(make_query(1, {1: 1.0}, k=2))
+        assert index.num_terms == 0
 
     def test_empty_index(self):
         index = ColumnarQueryIndex()
         assert index.num_live == 0
-        assert index.size == 0
+        assert index.store.capacity == 0
         assert index.term(1) is None
-        assert index.min_live_threshold() == math.inf
-        index.compact()  # no-op, must not raise
-        assert index.size == 0
+        assert len(index.global_view()[0]) == 0
+
+    def test_small_changes_splice_and_sweeping_ones_rebuild(self, monkeypatch):
+        """``global_view`` picks by the share of terms a burst changed."""
+        calls = []
+
+        def spy(name):
+            original = getattr(ColumnarQueryIndex, name)
+
+            def recorded(self):
+                calls.append(name)
+                original(self)
+
+            monkeypatch.setattr(ColumnarQueryIndex, name, recorded)
+
+        spy("_splice_global")
+        spy("_rebuild_global")
+        index = ColumnarQueryIndex()
+        queries = [make_query(i, {i: 1.0}, k=1) for i in range(40)]
+        for query in queries:
+            index.register(query)
+        index.global_view()
+        index.unregister(queries[0])  # 1 of 40 terms changed
+        index.global_view()
+        for query in queries[1:12]:  # 11 of 39: more than a quarter
+            index.unregister(query)
+        index.global_view()
+        index.global_view()  # nothing changed: cached
+        assert calls == ["_rebuild_global", "_splice_global", "_rebuild_global"]
+        assert index.global_view()[0].tolist() == list(range(12, 40))
 
     def test_invalid_zone_size_rejected(self):
         with pytest.raises(ValueError):
@@ -225,18 +258,3 @@ class TestPackedIndexEdgeCases:
             postings.zone_of(5)
         with pytest.raises(IndexError):
             postings.zone_of(-1)
-
-    def test_threshold_updates_survive_compaction(self):
-        index = ColumnarQueryIndex()
-        queries = [make_query(i, {1: 1.0 + i}, k=1) for i in range(80)]
-        for query in queries:
-            index.register(query)
-        for query in queries:
-            index.set_threshold(query.query_id, float(query.query_id))
-        for query in queries[:60]:  # trips the auto-compaction threshold
-            index.unregister(query)
-        assert index.dead == 0 or index.dead < COMPACT_MIN_DEAD
-        for query in queries[60:]:
-            assert index.thresholds_view()[index.slot_of(query.query_id)] == float(
-                query.query_id
-            )

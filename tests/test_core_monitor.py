@@ -6,7 +6,7 @@ from repro.core.config import MonitorConfig
 from repro.core.monitor import ContinuousMonitor
 from repro.core.mrio import MRIOAlgorithm
 from repro.documents.stream import DocumentStream, StreamConfig
-from repro.exceptions import ConfigurationError, UnknownQueryError
+from repro.exceptions import ConfigurationError, QueryError, UnknownQueryError
 from repro.text.vectorizer import Vectorizer
 from repro.text.vocabulary import Vocabulary
 from tests.helpers import make_document, make_query
@@ -49,6 +49,14 @@ class TestMonitorRegistration:
         assert second.query_id == 1
         assert second.k == monitor.config.default_k
         assert monitor.num_queries == 2
+
+    def test_register_vector_rejects_k_zero(self):
+        """``k=0`` is an invalid query, not a request for the default."""
+        monitor = ContinuousMonitor()
+        with pytest.raises(QueryError):
+            monitor.register_vector({1: 1.0}, k=0)
+        assert monitor.num_queries == 0
+        assert monitor.register_vector({1: 1.0}, k=None).k == monitor.config.default_k
 
     def test_register_query_respects_explicit_id(self):
         monitor = ContinuousMonitor()

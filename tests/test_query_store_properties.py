@@ -11,6 +11,10 @@ layer above relies on:
   model's definitions (vectors in original order, ``k``, users, weights);
 * freed slots are reused (LIFO) so the slot-table width is bounded by the
   peak live count, never the total registration count;
+* the threshold column — the engine's only copy of the propagated ``S_k``
+  — round-trips per slot, reads ``0.0`` on register and ``+inf`` once
+  freed, so its plain ``min`` is the smallest live threshold, and scaling
+  it is bitwise the scalar division;
 * interning is stable: a term's dense tid never changes for the lifetime
   of the store, no matter how much churn or heap compaction happens;
 * heap compaction moves spans but never changes any observable
@@ -23,6 +27,8 @@ layer above relies on:
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +77,12 @@ def churn_sequences(draw):
                 draw(st.integers(min_value=0, max_value=len(registered) - 1))
             )
             operations.append(("unregister", victim, None))
+        if registered and draw(st.booleans()):
+            target = registered[
+                draw(st.integers(min_value=0, max_value=len(registered) - 1))
+            ]
+            threshold = draw(st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
+            operations.append(("threshold", target, threshold))
     return operations
 
 
@@ -78,6 +90,7 @@ def _replay(operations):
     """Drive the store and the dict model through the same operations."""
     store = QueryStore()
     model = {}  # query_id -> (vector, k, user)
+    thresholds = {}  # query_id -> last set S_k
     peak_live = 0
     for op, query_id, payload in operations:
         if op == "register":
@@ -85,11 +98,38 @@ def _replay(operations):
             query = make_query(query_id, vector, k=k, user=user)
             store.register(query)
             model[query_id] = (query.vector, k, user)  # normalized, as stored
+            thresholds[query_id] = 0.0
             peak_live = max(peak_live, len(model))
-        else:
+        elif op == "unregister":
             store.unregister(query_id)
             del model[query_id]
+            del thresholds[query_id]
+        else:
+            store.set_threshold(query_id, payload)
+            thresholds[query_id] = payload
+    _check_threshold_column(store, thresholds)
     return store, model, peak_live
+
+
+def _check_threshold_column(store, thresholds):
+    """The numpy views against ``query id -> S_k``: live slots round-trip,
+    free slots read ``-1`` / ``+inf``, ``min`` needs no liveness test."""
+    qids = store.qids_view()
+    column = store.thresholds_view()
+    assert len(qids) == len(column) == store.capacity
+    for query_id, threshold in thresholds.items():
+        slot = store.slot_of(query_id)
+        assert int(qids[slot]) == query_id
+        assert column[slot] == threshold
+        assert store.threshold_of(query_id) == threshold
+        assert type(store.threshold_of(query_id)) is float
+    live_slots = {store.slot_of(query_id) for query_id in thresholds}
+    for slot in range(store.capacity):
+        if slot not in live_slots:
+            assert int(qids[slot]) == -1
+            assert column[slot] == math.inf
+    if store.capacity:
+        assert column.min() == min(thresholds.values(), default=math.inf)
 
 
 def _check_against_model(store, model, peak_live):
@@ -117,6 +157,7 @@ def _check_against_model(store, model, peak_live):
         assert materialized.k == k
         assert materialized.user == user
     assert sorted(store.query_ids()) == sorted(model)
+    assert all(type(query_id) is int for query_id in store.query_ids())
     # Slot reuse bounds the table by the peak live count.
     assert store.capacity <= peak_live
     assert store.capacity == len(model) + store.free_slot_count
@@ -163,7 +204,7 @@ class TestStoreMatchesDictModel:
                 for term_id in vector:
                     tid = store.intern(term_id)
                     assert first_tid.setdefault(term_id, tid) == tid
-            else:
+            elif op == "unregister":
                 store.unregister(query_id)
         store._compact_heap()
         for term_id, tid in first_tid.items():
@@ -185,6 +226,59 @@ class TestStoreMatchesDictModel:
         assert dict(RegisteredQueries(churned)) == dict(RegisteredQueries(rebuilt))
         for query_id in model:
             assert churned.materialize(query_id) == rebuilt.materialize(query_id)
+
+
+class TestThresholdColumn:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        operations=churn_sequences(),
+        factor=st.floats(min_value=1.0001, max_value=100.0, allow_nan=False),
+    )
+    def test_scaling_matches_scalar_division(self, operations, factor):
+        """One vectorized divide == the heaps' per-score IEEE division;
+        free slots stay ``+inf``."""
+        store, model, _ = _replay(operations)
+        before = {query_id: store.threshold_of(query_id) for query_id in model}
+        store.scale_thresholds(factor)
+        _check_threshold_column(
+            store, {query_id: value / factor for query_id, value in before.items()}
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(operations=churn_sequences())
+    def test_refresh_reloads_live_slots_only(self, operations):
+        store, model, _ = _replay(operations)
+        store.refresh_thresholds(lambda query_id: 10.0 + query_id)
+        _check_threshold_column(
+            store, {query_id: 10.0 + query_id for query_id in model}
+        )
+
+    def test_views_survive_growth_and_slot_reuse(self):
+        """Doubling growth carries every threshold over; a reused slot
+        starts again at 0.0; the numpy columns are counted by nbytes."""
+        store = QueryStore()
+        assert store.thresholds_view().shape == (0,)
+        for query_id in range(40):  # crosses the 16- and 32-slot buffers
+            store.register(make_query(query_id, {1: 1.0}, k=1))
+            store.set_threshold(query_id, 1.0 + query_id)
+        assert store.thresholds_view().tolist() == [1.0 + q for q in range(40)]
+        store.unregister(7)
+        assert store.thresholds_view()[7] == math.inf
+        assert store.thresholds_view().min() == 1.0
+        assert store.register(make_query(99, {1: 1.0}, k=1)) == 7
+        assert store.thresholds_view()[7] == 0.0
+        assert store.qids_view()[7] == 99
+        # The probe writes S_k straight through the view.
+        store.thresholds_view()[7] = 2.5
+        assert store.threshold_of(99) == 2.5
+        assert store.nbytes() >= 2 * 8 * store.capacity
+
+    def test_empty_store(self):
+        store = QueryStore()
+        store.scale_thresholds(2.0)
+        store.refresh_thresholds(lambda query_id: 1.0)
+        assert list(store.query_ids()) == []
+        assert store.capacity == 0
 
 
 class TestFreeListAndHeap:
@@ -232,18 +326,6 @@ class TestFreeListAndHeap:
             store.slot_of(2)
         assert store.materialize_or_none(2) is None
 
-    def test_thresholds_round_trip_scale_and_refresh(self):
-        store = QueryStore()
-        for query_id in range(4):
-            store.register(make_query(query_id, {1: 1.0}, k=1))
-            store.set_threshold(query_id, float(query_id))
-        store.scale_thresholds(2.0)
-        for query_id in range(4):
-            assert store.threshold_of(query_id) == query_id / 2.0
-        store.refresh_thresholds(lambda query_id: 10.0 + query_id)
-        for query_id in range(4):
-            assert store.threshold_of(query_id) == 10.0 + query_id
-
 
 class TestSlotMap:
     @settings(max_examples=60, deadline=None)
@@ -269,9 +351,9 @@ class TestSlotMap:
         for probe in (min(model, default=1) + 6000, 99999):
             assert slot_map.get(probe) is None
             assert slot_map.pop(probe) is None
-        slot_map.clear()
+        for query_id in list(model):
+            assert slot_map.pop(query_id) == model.pop(query_id)
         assert len(slot_map) == 0
-        assert all(slot_map.get(query_id) is None for query_id in model)
 
     def test_huge_id_falls_back_to_sparse(self):
         slot_map = SlotMap()

@@ -170,6 +170,22 @@ class TestEngineShardSnapshot:
         clone.restore(original.snapshot())
         assert clone.live_window_size == original.live_window_size
 
+    def test_restore_never_lowers_next_query_id(self):
+        """Restoring in place after the newest query left must not reissue
+        its id — what ``ensure_next_query_id`` exists to prevent."""
+        monitor = ContinuousMonitor(MonitorConfig(algorithm="mrio"))
+        for term in range(3):
+            monitor.register_vector({term: 1.0})
+        monitor.unregister(2)
+        assert monitor.next_query_id == 3
+        monitor.restore(monitor.snapshot())
+        assert monitor.next_query_id == 3
+        assert monitor.register_vector({9: 1.0}).query_id == 3
+        # A fresh monitor still adopts the capture's high-water mark.
+        fresh = ContinuousMonitor(MonitorConfig(algorithm="mrio"))
+        fresh.restore(monitor.snapshot())
+        assert fresh.next_query_id == 4
+
 
 class TestAlgorithmRegistry:
     def test_builtins_registered(self):

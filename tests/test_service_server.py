@@ -223,6 +223,10 @@ class TestIngestion:
                 # Non-integer k.
                 with pytest.raises(ServiceError, match="integer"):
                     await client._request("subscribe", t=[1], w=[1.0], k="ten")
+                # k=0 is refused, not replaced by the default k.
+                with pytest.raises(ServiceError, match="k must be"):
+                    await client._request("subscribe", t=[1], w=[1.0], k=0)
+                assert server.monitor.num_queries == 0
                 # Non-object document payloads.
                 with pytest.raises(ServiceError, match="JSON object"):
                     await client._request("publish", doc="garbage")
@@ -232,7 +236,7 @@ class TestIngestion:
                     )
                 # The connection survived every one of them.
                 await client.ping()
-                assert server.counters.request_errors == 4
+                assert server.counters.request_errors == 5
                 await client.close()
 
         run(body())
