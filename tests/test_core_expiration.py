@@ -80,3 +80,45 @@ class TestExpiration:
         # A better document evicts doc 0 from the result; the reverse map follows.
         monitor.process(make_document(1, {1: 1.0}, 2.0))
         assert manager.holders_of(0) == set()
+
+
+#: Every registered algorithm (MRIO under all three zone-bound variants).
+ALGORITHM_CONFIGS = [
+    pytest.param({"algorithm": "mrio", "ub_variant": "tree"}, id="mrio-tree"),
+    pytest.param({"algorithm": "mrio", "ub_variant": "exact"}, id="mrio-exact"),
+    pytest.param({"algorithm": "mrio", "ub_variant": "block"}, id="mrio-block"),
+    pytest.param({"algorithm": "rio"}, id="rio"),
+    pytest.param({"algorithm": "rta"}, id="rta"),
+    pytest.param({"algorithm": "sortquer"}, id="sortquer"),
+    pytest.param({"algorithm": "tps"}, id="tps"),
+    pytest.param({"algorithm": "exhaustive"}, id="exhaustive"),
+    pytest.param({"algorithm": "columnar"}, id="columnar"),
+]
+
+
+@pytest.mark.parametrize("batch", [None, 8, 64], ids=["per-event", "batch8", "batch64"])
+@pytest.mark.parametrize("overrides", ALGORITHM_CONFIGS)
+def test_holder_map_equals_result_membership(overrides, batch, small_corpus, small_queries):
+    """Referee for the holder map: after every ingestion call it names, for
+    each document, exactly the live queries whose top-k holds it."""
+    from repro.documents.stream import DocumentStream, StreamConfig
+
+    documents = DocumentStream(small_corpus, StreamConfig(seed=11)).take(160)
+    monitor = ContinuousMonitor(MonitorConfig(lam=1e-3, window_horizon=12.0, **overrides))
+    monitor.register_queries(small_queries)
+    manager = monitor._expiration
+    step = 1 if batch is None else batch
+    held = 0
+    for start in range(0, len(documents), step):
+        if batch is None:
+            monitor.process(documents[start])
+        else:
+            monitor.process_batch(documents[start : start + step])
+        expected = {}
+        for query_id in monitor.queries:
+            for entry in monitor.top_k(query_id):
+                expected.setdefault(entry.doc_id, set()).add(query_id)
+        assert manager._holders == expected, f"holder map drifted after doc {start}"
+        held = max(held, len(expected))
+    assert held > 0, "workload filled no result"
+    assert monitor.live_window_size < len(documents), "nothing expired"
