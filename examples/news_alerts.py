@@ -4,8 +4,8 @@
 A synthetic "news wire" (topically structured corpus) streams into a central
 monitor hosting thousands of user subscriptions (Connected workload: users
 subscribe to keywords that actually co-occur in articles).  A hard staleness
-window drops articles older than a day from every alert list, and an update
-listener plays the role of the push-notification service.
+window drops articles older than a day from every alert list, and the
+updates each arrival returns play the role of the push notifications.
 
 Run with::
 
@@ -38,14 +38,12 @@ def main() -> None:
     )
     monitor.register_queries(subscriptions)
 
-    # The notification side-channel: count alerts per subscription.
+    # The notifications: count alerts per subscription.
     alerts: Counter = Counter()
-    monitor.add_update_listener(lambda update: alerts.update([update.query_id]))
-
     stream = DocumentStream(corpus, StreamConfig(interval=1.0, seed=99))
     hours = 120  # five simulated days
     for document in stream.take(hours):
-        monitor.process(document)
+        alerts.update(update.query_id for update in monitor.process(document))
 
     stats = monitor.statistics
     print(f"simulated {hours} hours of news, {monitor.num_queries} subscriptions")

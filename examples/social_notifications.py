@@ -49,7 +49,6 @@ def run(algorithm_name: str):
 
     stream = DocumentStream(corpus, StreamConfig(interval=1.0, seed=13))
     notifications = 0
-    algo.add_update_listener(lambda update: None)
 
     # Phase 1: steady traffic.
     for post in stream.take(150):

@@ -174,12 +174,7 @@ class RTAAlgorithm(StreamAlgorithm):
             ]
         }
 
-    def _restore_structures(self, structures: Optional[Dict[str, object]] = None) -> None:
-        if structures is None:
-            # Partial restore (e.g. shard rebalancing): registration already
-            # rebuilt fresh lists; fall back to the generic refresh.
-            super()._restore_structures(None)
-            return
+    def _restore_structures(self, structures: Optional[Dict[str, object]]) -> None:
         self._lists = {}
         for term_id, captured in structures["lists"]:  # type: ignore[union-attr]
             impact_list = _ImpactList()

@@ -370,10 +370,9 @@ class ShardHost:
             )
         if not self._primary:
             self._primary = True
-            # Event buffers accumulated while *applying* replicated records
-            # belong to replies the dead primary already delivered (or never
-            # will); flushing them into the next reply would double-notify.
-            self._shard.drain_raw_updates()
+            # Rebases buffered while *applying* replicated records belong to
+            # replies the dead primary already delivered (or never will);
+            # flushing them into the next reply would double-notify.
             self._shard.drain_renormalizations()
         self._wal.flush()
         return self._applier.applied_lsn if self._applier else self._wal.last_lsn
@@ -460,9 +459,8 @@ class ShardHost:
                     # this socket is redone by the router at the same LSNs.
                     return
                 self._applier.apply_line(bytes(tail))
-                # A standby has no reply to carry event buffers away;
+                # A standby has no reply to carry rebase buffers away;
                 # discard them so replication cannot grow memory unboundedly.
-                self._shard.drain_raw_updates()
                 self._shard.drain_renormalizations()
                 applied = self._applier.applied_lsn
             frame_socket.send_bytes(codec.pack_frame({"k": "ack", "l": applied}))

@@ -131,8 +131,6 @@ class RemoteShardHandle(ProcessShardHandle):
         self._primary_client = primary
         self._standbys: List[HostClient] = list(standbys)
         self._stats = stats if stats is not None else TransportStats()
-        self._capture_raw = False
-        self._raw_buffer: List[object] = []
         self._renormalize_listeners: List[object] = []
         self._journaling = journaling
         self._repl_options = repl_options
@@ -244,7 +242,6 @@ class RemoteShardHandle(ProcessShardHandle):
         try:
             header, tail = codec.unpack_frame(data)
             events = header.get("e") or {}
-            raw = events.get("r")
             renorms = events.get("n", ())
             status = header["s"]
             value = codec.decode_value(header.get("v"), tail)
@@ -253,8 +250,6 @@ class RemoteShardHandle(ProcessShardHandle):
                 f"shard host {self.shard_id} sent an undecodable reply"
             ) from exc
         if dispatch_events:
-            if raw is not None:
-                self._raw_buffer.extend(codec.decode_value(raw, tail))
             for origin, factor in renorms:
                 for listener in self._renormalize_listeners:
                     listener(origin, factor)
@@ -342,8 +337,6 @@ class RemoteShardHandle(ProcessShardHandle):
         self, client: HostClient, pending: Optional[_Pending]
     ) -> object:
         applied = int(self._client_call(client, "promote"))  # type: ignore[arg-type]
-        if self._capture_raw:
-            self._client_call(client, "set_capture_raw", True)
         min_replicas, max_lag, repl_timeout = self._repl_options
         for standby in self._standbys:
             self._client_call(

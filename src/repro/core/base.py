@@ -9,7 +9,6 @@ common:
 * the per-query :class:`~repro.core.results.TopKResult` store,
 * the exponential decay model and its renormalization,
 * work counters and per-event response times,
-* result-update notification to listeners,
 * threshold-change propagation to whatever per-term structures a concrete
   algorithm maintains.
 """
@@ -37,7 +36,6 @@ from repro.queries.query import Query
 from repro.queries.store import QueryStore, RegisteredQueries
 from repro.types import DocId, QueryId
 
-UpdateListener = Callable[[ResultUpdate], None]
 #: Callback invoked after a decay rebase with ``(new_origin, factor)``.
 RenormalizeListener = Callable[[float, float], None]
 
@@ -83,7 +81,6 @@ class StreamAlgorithm(abc.ABC):
         #: attaches a real :class:`~repro.obs.telemetry.Telemetry` — the
         #: per-event cost when disabled is one attribute read.
         self.telemetry = NULL_TELEMETRY
-        self._update_listeners: List[UpdateListener] = []
         self._renormalize_listeners: List[RenormalizeListener] = []
         self._last_arrival: Optional[float] = None
         #: Non-None while a batch is being processed: query ids whose
@@ -204,9 +201,6 @@ class StreamAlgorithm(abc.ABC):
         self.response_times.append(elapsed)
         if self.telemetry.enabled:
             self.telemetry.observe("engine.event", elapsed)
-        for update in updates:
-            for listener in self._update_listeners:
-                listener(update)
         return updates
 
     def process_all(self, documents: Iterable[Document]) -> List[ResultUpdate]:
@@ -221,16 +215,11 @@ class StreamAlgorithm(abc.ABC):
 
         The batch fast path amortizes everything :meth:`process` pays per
         event — the renormalization check (and the renormalization itself, at
-        most once per batch), the wall-clock probes, and the notification
-        dispatch — and concrete algorithms additionally reuse their traversal
-        structures across the batch's documents.  The final top-k state is
-        identical to feeding the same documents through :meth:`process` one
-        by one.
-
-        Per-update listeners still receive every individual
-        :class:`ResultUpdate` (window expiration needs the full eviction
-        chain); the *return value* is coalesced to at most one
-        :class:`BatchUpdate` per affected query.
+        most once per batch) and the wall-clock probes — and concrete
+        algorithms additionally reuse their traversal structures across the
+        batch's documents.  The final top-k state is identical to feeding the
+        same documents through :meth:`process` one by one; the return value
+        is coalesced to at most one :class:`BatchUpdate` per affected query.
         """
         docs = documents if isinstance(documents, list) else list(documents)
         if not docs:
@@ -275,10 +264,6 @@ class StreamAlgorithm(abc.ABC):
         self.response_times.extend([per_event] * len(docs))
         if self.telemetry.enabled:
             self.telemetry.observe("engine.batch", elapsed)
-        if self._update_listeners:
-            for update in updates:
-                for listener in self._update_listeners:
-                    listener(update)
         return coalesce_updates(updates)
 
     def _process_batch_documents(
@@ -347,10 +332,6 @@ class StreamAlgorithm(abc.ABC):
     def threshold(self, query_id: QueryId) -> float:
         return self.results.threshold(query_id)
 
-    def add_update_listener(self, listener: UpdateListener) -> None:
-        """Register a callback invoked for every result update."""
-        self._update_listeners.append(listener)
-
     def add_renormalize_listener(self, listener: RenormalizeListener) -> None:
         """Register a callback invoked after every decay rebase.
 
@@ -373,14 +354,13 @@ class StreamAlgorithm(abc.ABC):
         return factor
 
     # ------------------------------------------------------------------ #
-    # Snapshot / restore (shard rebalancing)
+    # Snapshot / restore
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> Dict[str, object]:
         """Capture the full engine state: queries, results, decay, counters.
 
-        The snapshot is a structural (in-memory) capture meant for handing
-        an engine's queries to other engine shards during rebalancing —
+        A structural (in-memory) capture:
         :class:`~repro.queries.query.Query` objects are materialized from
         the packed store (so the capture stays valid however this engine
         mutates afterwards), everything else is copied.  Timing samples
@@ -407,9 +387,8 @@ class StreamAlgorithm(abc.ABC):
         structures), restores each query's result heap, the decay origin,
         the counters and the stream clock, then lets the algorithm refresh
         whatever cached bounds depend on thresholds
-        (:meth:`_restore_structures`).  Restoring a snapshot taken from a
-        *different* engine is the rebalancing primitive: the restored
-        engine continues the stream exactly where the captured one stopped.
+        (:meth:`_restore_structures`).  The restored engine continues the
+        stream exactly where the captured one stopped.
         """
         for query_id in list(self.queries):
             self.unregister(query_id)
@@ -421,26 +400,6 @@ class StreamAlgorithm(abc.ABC):
         self.store.refresh_thresholds(self.results.threshold)
         self._last_arrival = state["last_arrival"]  # type: ignore[assignment]
         self._restore_structures(state.get("structures"))  # type: ignore[arg-type]
-
-    def restore_queries(self, queries: Iterable[Query], state: Dict[str, object]) -> None:
-        """Adopt a *subset* of a captured engine's queries into this engine.
-
-        Used when a router re-partitions one snapshot across several
-        shards: ``queries`` selects the partition, while decay, stream
-        clock and per-query results come from ``state``.  Counters are
-        intentionally not adopted (they cannot be attributed to a query
-        subset); the caller keeps them wherever it aggregates statistics.
-        """
-        self.decay.restore(state["decay"])  # type: ignore[arg-type]
-        captured_results = state["results"]  # type: ignore[assignment]
-        for query in queries:
-            self.register(query)
-            result_state = captured_results.get(query.query_id)  # type: ignore[union-attr]
-            if result_state is not None:
-                self.results.get(query.query_id).restore(result_state)
-        self.store.refresh_thresholds(self.results.threshold)
-        self._last_arrival = state["last_arrival"]  # type: ignore[assignment]
-        self._restore_structures()
 
     def _snapshot_structures(self) -> Optional[Dict[str, object]]:
         """Capture algorithm-specific structure state, or None when the
@@ -478,16 +437,15 @@ class StreamAlgorithm(abc.ABC):
             return -math.inf
         return float(value)  # type: ignore[arg-type]
 
-    def _restore_structures(self, structures: Optional[Dict[str, object]] = None) -> None:
+    def _restore_structures(self, structures: Optional[Dict[str, object]]) -> None:
         """Refresh threshold-dependent caches after a restore.
 
         ``structures`` is a :meth:`_snapshot_structures` capture when the
-        restored state carried one (absent for partial restores such as
-        shard rebalancing, where structure history cannot be attributed to
-        a query subset).  The default ignores it and funnels every query
-        through :meth:`_on_threshold_change` — correct for all algorithms
-        whose caches key off ``S_k``; engines with wholesale invalidation
-        or captured structure state override this.
+        restored state carried one (always, for an engine that captures
+        structures).  The default ignores it and funnels every query through
+        :meth:`_on_threshold_change` — correct for all algorithms whose
+        caches key off ``S_k``; engines with wholesale invalidation or
+        captured structure state override this.
         """
         for query in self.queries.values():
             self._on_threshold_change(query)

@@ -101,7 +101,7 @@ class ColumnarAlgorithm(StreamAlgorithm):
     def _unregister_structures(self, query: Query) -> None:
         self.index.unregister(query)
 
-    def _restore_structures(self, structures: Optional[Dict[str, object]] = None) -> None:
+    def _restore_structures(self, structures: Optional[Dict[str, object]]) -> None:
         """Nothing to refresh: the packed columns are pure functions of the
         registered queries (already re-registered by ``restore()``), which
         also reloaded the store's threshold column.  Overridden only because

@@ -7,7 +7,8 @@ anything older than a day").  When the monitor is configured with a
 
 * keeps every live document in a :class:`SlidingWindowStore` and a
   :class:`DocumentIndex`,
-* tracks which queries currently hold which documents,
+* tracks which queries currently hold which documents, from the result
+  changes the engine returns,
 * on expiration removes the document everywhere and re-evaluates the
   affected queries over the live window, and
 * tells the algorithm that those queries' thresholds may have *decreased*
@@ -16,10 +17,10 @@ anything older than a day").  When the monitor is configured with a
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.core.base import StreamAlgorithm
-from repro.core.results import ResultUpdate
+from repro.core.results import BatchUpdate, ResultUpdate
 from repro.documents.document import Document
 from repro.documents.window import SlidingWindowStore
 from repro.index.doc_index import DocumentIndex
@@ -39,15 +40,28 @@ class ExpirationManager:
     # Bookkeeping driven by the normal stream path
     # ------------------------------------------------------------------ #
 
-    def on_result_update(self, update: ResultUpdate) -> None:
-        """Track which queries hold which documents (listener callback)."""
-        self._holders.setdefault(update.doc_id, set()).add(update.query_id)
-        if update.evicted_doc_id is not None:
-            holders = self._holders.get(update.evicted_doc_id)
-            if holders is not None:
-                holders.discard(update.query_id)
-                if not holders:
-                    del self._holders[update.evicted_doc_id]
+    def on_updates(self, updates: Sequence[ResultUpdate]) -> None:
+        """Track which queries hold which documents: one event's updates."""
+        for update in updates:
+            self._holders.setdefault(update.doc_id, set()).add(update.query_id)
+            if update.evicted_doc_id is not None:
+                self._release(update.evicted_doc_id, update.query_id)
+
+    def on_batch_updates(self, updates: Sequence[BatchUpdate]) -> None:
+        """The same from one batch's net changes: per query, the admitted
+        documents still held and the prior members pushed out."""
+        for update in updates:
+            for entry in update.entries:
+                self._holders.setdefault(entry.doc_id, set()).add(update.query_id)
+            for doc_id in update.evicted_doc_ids:
+                self._release(doc_id, update.query_id)
+
+    def _release(self, doc_id: DocId, query_id: QueryId) -> None:
+        holders = self._holders.get(doc_id)
+        if holders is not None:
+            holders.discard(query_id)
+            if not holders:
+                del self._holders[doc_id]
 
     def observe(self, document: Document) -> None:
         """Record a freshly processed document as live."""
@@ -101,11 +115,7 @@ class ExpirationManager:
         # Update the reverse map to reflect the new membership.
         new_docs = {entry.doc_id for entry in result.entries()}
         for doc_id in old_docs - new_docs:
-            holders = self._holders.get(doc_id)
-            if holders is not None:
-                holders.discard(query_id)
-                if not holders:
-                    del self._holders[doc_id]
+            self._release(doc_id, query_id)
         for doc_id in new_docs:
             self._holders.setdefault(doc_id, set()).add(query_id)
 
@@ -114,7 +124,7 @@ class ExpirationManager:
         self.algorithm.notify_threshold_change(query_id)
 
     # ------------------------------------------------------------------ #
-    # Snapshot / restore (shard rebalancing)
+    # Snapshot / restore
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> Dict[str, object]:
@@ -125,9 +135,8 @@ class ExpirationManager:
         """Rebuild the window store, the document index and the reverse map.
 
         The holder map is derived from the *algorithm's* current result
-        membership rather than captured, so a restore that adopted only a
-        subset of the captured queries (shard rebalancing) ends up exactly
-        consistent with what that subset holds.
+        membership rather than captured, so it is consistent with the
+        restored results by construction.
         """
         self.store = SlidingWindowStore(float(state["horizon"]))  # type: ignore[arg-type]
         self.doc_index = DocumentIndex()

@@ -181,21 +181,20 @@ class ReverseIDOrderingBase(StreamAlgorithm):
             structures["built_terms"] = built
         return structures
 
-    def _restore_structures(self, structures: Optional[Dict[str, object]] = None) -> None:
+    def _restore_structures(self, structures: Optional[Dict[str, object]]) -> None:
         # A restore may move every threshold in either direction at once;
         # wholesale invalidation of the bound structures is cheaper than
         # per-query point updates (stored ratios are recomputed lazily from
-        # the restored thresholds).  The zone memo is reinstated when the
-        # capture carried one, cleared otherwise.
+        # the restored thresholds).  The zone memo is reinstated from the
+        # capture.
         self.bounds.restore()
         self._zone_cache.clear()
-        if structures is not None:
-            for term_id, windows in structures["zone_cache"]:  # type: ignore[union-attr]
-                self._zone_cache[term_id] = {
-                    (start_pos, boundary_qid): (end_pos, self._unpack_float(zone_value))
-                    for start_pos, boundary_qid, end_pos, zone_value in windows
-                }
-            self.bounds.rebuild_terms(structures.get("built_terms", ()))  # type: ignore[arg-type]
+        for term_id, windows in structures["zone_cache"]:  # type: ignore[index]
+            self._zone_cache[term_id] = {
+                (start_pos, boundary_qid): (end_pos, self._unpack_float(zone_value))
+                for start_pos, boundary_qid, end_pos, zone_value in windows
+            }
+        self.bounds.rebuild_terms(structures.get("built_terms", ()))  # type: ignore[union-attr]
         self._batch_zone_fns = {}
 
     # ------------------------------------------------------------------ #

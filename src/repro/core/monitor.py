@@ -27,9 +27,10 @@ High-throughput ingestion goes through the batch fast path instead::
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.base import RenormalizeListener, StreamAlgorithm, UpdateListener
+from repro.core.base import RenormalizeListener, StreamAlgorithm
 from repro.core.config import MonitorConfig
 from repro.core.expiration import ExpirationManager
 from repro.core.factory import create_algorithm
@@ -131,9 +132,7 @@ class MonitorSurface:
         """Process a sequence (or a bounded prefix) of stream documents
         through the per-event path."""
         updates: List[ResultUpdate] = []
-        for count, document in enumerate(documents):
-            if limit is not None and count >= limit:
-                break
+        for document in islice(documents, limit):
             updates.extend(self.process(document))  # type: ignore[attr-defined]
         return updates
 
@@ -187,13 +186,10 @@ class ContinuousMonitor(MonitorSurface):
         self._expiration: Optional[ExpirationManager] = None
         if self.config.window_horizon is not None:
             self._expiration = ExpirationManager(self.algorithm, self.config.window_horizon)
-            self.algorithm.add_update_listener(self._expiration.on_result_update)
-        # Event capture for a hosting facade or serving loop.  ``None`` =
+        # Rebase capture for a hosting facade or serving loop.  ``None`` =
         # never switched on: the engine listener is attached on first use,
         # so an uncaptured engine keeps an empty listener list.
-        self._capture_raw: Optional[bool] = None
         self._capture_renorms: Optional[bool] = None
-        self._raw_buffer: List[ResultUpdate] = []
         self._renorm_buffer: List[Tuple[float, float]] = []
 
     # ------------------------------------------------------------------ #
@@ -238,6 +234,7 @@ class ContinuousMonitor(MonitorSurface):
         """Process one stream event; returns the result updates it caused."""
         updates = self.algorithm.process(document)
         if self._expiration is not None:
+            self._expiration.on_updates(updates)
             self._expiration.observe(document)
             assert document.arrival_time is not None
             self._expiration.expire(document.arrival_time)
@@ -257,6 +254,7 @@ class ContinuousMonitor(MonitorSurface):
         docs = documents if isinstance(documents, list) else list(documents)
         updates = self.algorithm.process_batch(docs)
         if self._expiration is not None and docs:
+            self._expiration.on_batch_updates(updates)
             for document in docs:
                 self._expiration.observe(document)
             assert docs[-1].arrival_time is not None
@@ -284,40 +282,11 @@ class ContinuousMonitor(MonitorSurface):
             for query_id in self.algorithm.queries
         }
 
-    def add_update_listener(self, listener: UpdateListener) -> None:
-        """Register a callback invoked for every result update."""
-        self.algorithm.add_update_listener(listener)
-
     def add_renormalize_listener(self, listener: RenormalizeListener) -> None:
         """Register a callback invoked after every decay rebase (on the
         host surface so process-resident shards can forward rebases).
         """
         self.algorithm.add_renormalize_listener(listener)
-
-    @property
-    def capture_raw(self) -> bool:
-        """When True, raw per-event updates are buffered for the hosting
-        facade's listeners (drained with :meth:`drain_raw_updates`).
-        """
-        return bool(self._capture_raw)
-
-    @capture_raw.setter
-    def capture_raw(self, enabled: bool) -> None:
-        if self._capture_raw is None:
-            if not enabled:
-                return  # never switched on: no listener to silence
-            self.algorithm.add_update_listener(self._on_raw_update)
-        self._capture_raw = enabled
-
-    def _on_raw_update(self, update: ResultUpdate) -> None:
-        if self._capture_raw:
-            self._raw_buffer.append(update)
-
-    def drain_raw_updates(self) -> List[ResultUpdate]:
-        """The raw updates buffered since the last drain (in emission order)."""
-        drained = self._raw_buffer
-        self._raw_buffer = []
-        return drained
 
     @property
     def capture_renorms(self) -> bool:
@@ -330,7 +299,7 @@ class ContinuousMonitor(MonitorSurface):
     def capture_renorms(self, enabled: bool) -> None:
         if self._capture_renorms is None:
             if not enabled:
-                return
+                return  # never switched on: no listener to silence
             self.algorithm.add_renormalize_listener(self._on_renormalize)
         self._capture_renorms = enabled
 
@@ -405,12 +374,9 @@ class ContinuousMonitor(MonitorSurface):
 
     def facade_state(self) -> Dict[str, object]:
         """What a durable sidecar records beside the hosts' checkpoints.  A
-        lone host's event count and counters live in its engine: nothing.
+        lone host's event count lives in its engine: nothing.
         """
-        return {
-            "documents_processed": 0,
-            "retired_counters": EventCounters().snapshot(),
-        }
+        return {"documents_processed": 0}
 
     def adopt_facade_state(self, state: Dict[str, object], replayed_documents: int) -> None:
         """Reinstate a recovered :meth:`facade_state` (nothing to do here)."""
@@ -420,9 +386,9 @@ class ContinuousMonitor(MonitorSurface):
     # ------------------------------------------------------------------ #
     #
     # One state shape (the flat dict of :meth:`snapshot`) and one encoding of
-    # it (the persistence codec's): a state rebalanced between shards, moved
-    # across a process boundary or read from a checkpoint is bit-for-bit the
-    # same thing.  (Function-level codec imports: persistence imports us.)
+    # it (the persistence codec's): a state moved across a process boundary
+    # or read from a checkpoint is bit-for-bit the same thing.
+    # (Function-level codec imports: persistence imports us.)
 
     def snapshot(self) -> Dict[str, object]:
         """Capture the full engine state (plus the live window if any).
@@ -442,35 +408,15 @@ class ContinuousMonitor(MonitorSurface):
             self._expiration.restore(state["expiration"])  # type: ignore[arg-type]
         self.ensure_next_query_id(max(self.algorithm.queries, default=-1) + 1)
 
-    def snapshot_encoded(self, include_structures: bool = True) -> Dict[str, object]:
+    def snapshot_encoded(self) -> Dict[str, object]:
         """The full state in the persistence codec's encoded form — exactly
-        what a checkpoint stores.  ``include_structures=False`` drops the
-        algorithm-specific structure captures for the rebalance adopt path,
-        which rebuilds structures anyway (their O(memo) encode is wasted).
-        """
+        what a checkpoint stores."""
         from repro.persistence import codec
 
-        state = self.snapshot()
-        if not include_structures:
-            state.pop("structures", None)
-        return codec.encode_monitor_state(state)
+        return codec.encode_monitor_state(self.snapshot())
 
     def restore_encoded(self, encoded: Dict[str, object]) -> None:
         """Restore a :meth:`snapshot_encoded` capture (or a checkpoint)."""
         from repro.persistence import codec
 
         self.restore(codec.decode_monitor_state(encoded))
-
-    def adopt_encoded(self, encoded: Dict[str, object]) -> None:
-        """Adopt an encoded partition capture into this (fresh) host: the
-        slice the sharded facade cuts from the merged rebalance capture —
-        the partition's queries and result heaps, the common decay/stream
-        clock and (optionally) the live window, restored *after* the
-        results so the holder map reflects the adopted partition only.
-        """
-        from repro.persistence import codec
-
-        state = codec.decode_monitor_state(encoded)
-        self.algorithm.restore_queries(state["queries"], state)  # type: ignore[arg-type]
-        if self._expiration is not None and "expiration" in state:
-            self._expiration.restore(state["expiration"])  # type: ignore[arg-type]

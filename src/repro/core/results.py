@@ -8,8 +8,8 @@ paper (Eq. 2 and 3).
 
 Two notification granularities exist:
 
-* :class:`ResultUpdate` — one accepted (document, query) insertion, emitted
-  by the per-event path and fed to update listeners;
+* :class:`ResultUpdate` — one accepted (document, query) insertion, returned
+  by the per-event path;
 * :class:`BatchUpdate` — the *net* effect of one ingestion batch on one
   query, produced by :func:`coalesce_updates`: documents admitted and then
   evicted within the same batch cancel out, so a consumer sees at most one
@@ -261,7 +261,7 @@ class TopKResult:
             self.offer(doc_id, score)
 
     # ------------------------------------------------------------------ #
-    # Snapshot / restore (shard rebalancing)
+    # Snapshot / restore
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> Dict[str, object]:
@@ -344,7 +344,7 @@ class ResultStore:
             result.scale(factor)
 
     def snapshot(self) -> Dict[QueryId, Dict[str, object]]:
-        """Per-query :meth:`TopKResult.snapshot` dicts (shard rebalancing).
+        """Per-query :meth:`TopKResult.snapshot` dicts.
 
         In the lazy (query-store-backed) mode, *empty* heaps are omitted:
         an empty heap is indistinguishable from an unmaterialized one, and
@@ -369,8 +369,7 @@ class ResultStore:
         """Restore every captured query result present in this store.
 
         Queries are restored by id; a captured query that is not (or no
-        longer) registered here is skipped, which is what a router relies on
-        when it re-partitions one engine's snapshot across several shards.
+        longer) registered here is skipped.
         """
         store = self._store
         for query_id, result_state in state.items():

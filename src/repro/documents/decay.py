@@ -83,7 +83,7 @@ class ExponentialDecay:
         return math.log(2.0) / self.lam
 
     # ------------------------------------------------------------------ #
-    # Snapshot / restore (shard rebalancing)
+    # Snapshot / restore
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> Dict[str, float]:

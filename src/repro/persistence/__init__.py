@@ -1,7 +1,7 @@
 """Durability subsystem: write-ahead logging, checkpoints, crash recovery.
 
-The in-memory engines gained ``snapshot()``/``restore()`` hooks for shard
-rebalancing in PR 2; this package promotes them into real durability:
+The in-memory engines have ``snapshot()``/``restore()`` hooks; this package
+promotes them into real durability:
 
 * :mod:`repro.persistence.codec` — one versioned, deterministic encoding of
   queries, documents, engine snapshots and per-event log records;

@@ -2,8 +2,8 @@
 
 Everything the durability subsystem puts on disk goes through this module:
 the write-ahead log (:mod:`repro.persistence.wal`), the checkpoint files
-(:mod:`repro.persistence.checkpoint`) and the shard-rebalancing path of the
-sharded runtime all speak the same encoded form, so there is exactly one
+(:mod:`repro.persistence.checkpoint`) and the shard state moved across
+process boundaries all speak the same encoded form, so there is exactly one
 serialization of a query, a document, a result heap or a full engine
 snapshot.
 
@@ -163,7 +163,7 @@ def encode_query(query: Query) -> Dict[str, object]:
 def decode_query(encoded: Dict[str, object]) -> Query:
     # Trusted construction: every encoded query was validated and
     # normalized when first registered, so decoding skips re-validation
-    # (a WAL replay or rebalance adoption would otherwise re-walk every
+    # (a WAL replay or checkpoint restore would otherwise re-walk every
     # vector just to re-prove normalization).
     return Query.trusted(
         query_id=int(encoded["i"]),  # type: ignore[arg-type]

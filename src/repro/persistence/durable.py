@@ -175,15 +175,16 @@ class DurableMonitor(MonitorSurface):
                 vectorizer=vectorizer,
             )
             self._inner: Union[ContinuousMonitor, ShardedMonitor] = self._facade
-            # The facade keeps its executor for life (a rebalance resizes it
-            # in place), unlike its shard set — see :attr:`_hosts`.
             self._executor: ShardExecutor = self._facade.executor
+            #: The engine hosts: the facade's shards, or the lone monitor.
+            self._hosts: Sequence[ContinuousMonitor] = self._facade.shards
             host_dirs = [
                 os.path.join(root, f"shard-{index:04d}") for index in range(n_shards)
             ]
         else:
             self._inner = ContinuousMonitor(self.config, vectorizer=vectorizer)
             self._executor = SerialExecutor()
+            self._hosts = [self._inner]
             host_dirs = [root]
         # Router-side WALs report flush/fsync latency into the engine
         # telemetry they journal for.  Shard-resident executors expose
@@ -227,16 +228,6 @@ class DurableMonitor(MonitorSurface):
         if not _recovering:
             self._write_meta(meta_path)
             self._begin_journaling()
-
-    @property
-    def _hosts(self) -> Sequence[ContinuousMonitor]:
-        """The engine hosts — the lone monitor, or the facade's *current*
-        shards (a rebalance replaces the shard set, so never cache this).
-        """
-        if self._facade is not None:
-            return self._facade.shards
-        assert isinstance(self._inner, ContinuousMonitor)
-        return [self._inner]
 
     # ------------------------------------------------------------------ #
     # Construction: open / recover
@@ -447,6 +438,8 @@ class DurableMonitor(MonitorSurface):
             "lsn": lsn,
             "next_query_id": self._inner.next_query_id,
             **self._inner.facade_state(),
+            # Zero and unread; kept so the bytes stay as older code reads them.
+            "retired_counters": EventCounters().snapshot(),
         }
         atomic_write(
             self._sidecar_path(), codec.pack_line(sidecar),
@@ -764,9 +757,6 @@ class DurableMonitor(MonitorSurface):
 
     def all_results(self) -> Dict[QueryId, List[ResultEntry]]:
         return self._inner.all_results()
-
-    def add_update_listener(self, listener) -> None:
-        self._inner.add_update_listener(listener)
 
     @property
     def statistics(self) -> EventCounters:

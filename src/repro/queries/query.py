@@ -63,7 +63,7 @@ class Query:
         persistence codec or materialized from the packed
         :class:`~repro.queries.store.QueryStore` — the weights were
         validated and L2-normalized when the query was first registered.
-        Re-walking the vector on every decode made rebalance adoption
+        Re-walking the vector on every decode made state restores
         O(|vector|) per query in pure overhead; this constructor skips it.
         The caller vouches for canonicality.
         """

@@ -14,9 +14,9 @@ Design
 * **Codec frames on the pipes.**  Commands and replies are length-prefixed
   frames of the persistence codec (:func:`codec.pack_frame`), not pickle:
   the WAL, the checkpoints, the serving sockets and the worker pipes all
-  speak one deterministic wire format.  Hot payloads — document batches,
-  coalesced batch updates, raw result updates — travel as packed binary
-  tail sections the receiver reads zero-copy through ``memoryview`` casts.
+  speak one deterministic wire format.  Hot payloads — document batches
+  and coalesced batch updates — travel as packed binary tail sections the
+  receiver reads zero-copy through ``memoryview`` casts.
 * **Shared-memory batch fan-out.**  A document batch is encoded ONCE into
   a :class:`~repro.runtime.shm.SharedMemoryRing` slot; every worker gets
   only a tiny ``(seq, offset, length)`` descriptor over its control pipe
@@ -30,8 +30,8 @@ Design
   — or ``transport="pipe"`` is forced — the same frames ride the pipes.
 * **One framed reply per worker per batch.**  Workers coalesce per-event
   notifications into the :class:`BatchUpdate` form engine-side and ship
-  them (plus any captured raw updates) as binary sections of a single
-  reply frame, instead of thousands of pickled tuples.
+  them as binary sections of a single reply frame, instead of thousands of
+  pickled tuples.
 * **Pipelined fan-out.**  :meth:`ResidentShardExecutor.run_shards` sends the
   command to *every* worker before collecting any reply
   (:func:`~repro.runtime.executors.pipeline`), so the workers process the
@@ -39,9 +39,9 @@ Design
   shard order; per the executor failure contract, every reply is collected
   before the first exception (in shard order) is raised.
 * **State moves in one shape.**  Shard state crossing the process boundary
-  — rebalance captures, checkpoint snapshots, recovery restores — is what
-  ``snapshot_encoded`` vends and ``restore_encoded``/``adopt_encoded``
-  take: the codec's encoded form, the same bytes-shape a checkpoint stores.
+  — checkpoint snapshots, recovery restores — is what ``snapshot_encoded``
+  vends and ``restore_encoded`` takes: the codec's encoded form, the same
+  bytes-shape a checkpoint stores.
   The parent passes it through untouched (a recovered checkpoint is decoded
   once, in the worker), so a state that moved between processes is
   bit-for-bit a state that was checkpointed and restored.
@@ -70,7 +70,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.config import MonitorConfig
 from repro.core.monitor import ContinuousMonitor
-from repro.core.results import BatchUpdate, ResultUpdate
+from repro.core.results import BatchUpdate
 from repro.documents.document import Document
 from repro.exceptions import ConfigurationError, WorkerError
 from repro.persistence import codec
@@ -242,8 +242,8 @@ def _shard_worker_main(conn, shard_id: int, config: MonitorConfig, ring_name=Non
 class ProcessShardHandle:
     """Parent-side proxy for one shard living in a worker process.
 
-    Mirrors the :class:`ContinuousMonitor` host surface, so the sharded facade,
-    rebalancing and crash recovery drive local and process-resident shards
+    Mirrors the :class:`ContinuousMonitor` host surface, so the sharded facade
+    and crash recovery drive local and process-resident shards
     through identical code.  The mirror is *derived*: any attribute named by
     a row of :data:`~repro.runtime.protocol.COMMANDS` resolves to one
     synchronous round trip of that command (methods take the call's
@@ -260,8 +260,6 @@ class ProcessShardHandle:
         self.process = process
         self._conn = conn
         self._stats = stats if stats is not None else TransportStats()
-        self._capture_raw = False
-        self._raw_buffer: List[ResultUpdate] = []
         self._renormalize_listeners: List[Callable[[float, float], None]] = []
 
     # ------------------------------------------------------------------ #
@@ -303,9 +301,6 @@ class ProcessShardHandle:
         try:
             header, tail = codec.unpack_frame(data)
             events = header.get("e") or {}
-            raw = events.get("r")
-            if raw is not None:
-                self._raw_buffer.extend(codec.decode_value(raw, tail))
             for origin, factor in events.get("n", ()):
                 for listener in self._renormalize_listeners:
                     listener(origin, factor)
@@ -367,23 +362,9 @@ class ProcessShardHandle:
         The worker buffers every (origin, factor) rebase — explicit or
         decay-triggered — and ships it with its next reply, preserving
         order; listeners therefore run after the triggering call returns,
-        on the caller's thread, like the facade's update listeners.
+        on the caller's thread.
         """
         self._renormalize_listeners.append(listener)
-
-    @property
-    def capture_raw(self) -> bool:
-        return self._capture_raw
-
-    @capture_raw.setter
-    def capture_raw(self, enabled: bool) -> None:
-        self.call("set_capture_raw", bool(enabled))
-        self._capture_raw = bool(enabled)
-
-    def drain_raw_updates(self) -> List[ResultUpdate]:
-        drained = self._raw_buffer
-        self._raw_buffer = []
-        return drained
 
 
 class ResidentShardExecutor(ShardExecutor):
@@ -408,14 +389,6 @@ class ResidentShardExecutor(ShardExecutor):
                 f"{self.name} executor has no shards; spawn_shards() was not called"
             )
         return list(self._handles)
-
-    def resize(self, n_shards: int, config: MonitorConfig) -> List[ProcessShardHandle]:
-        """Replace the shard fleet (and its ring) with ``n_shards`` fresh ones."""
-        if n_shards <= 0:
-            raise ConfigurationError(f"n_shards must be > 0, got {n_shards}")
-        self.close()
-        self.n_shards = n_shards
-        return self.spawn_shards(config)  # type: ignore[attr-defined]
 
     def run(self, tasks: Sequence[Callable[[], T]]) -> List[T]:
         """Run opaque thunks on the calling thread (the generic fallback).

@@ -25,8 +25,7 @@ place that set is written down; everything else derives from it:
 
 Wire format: requests are codec frames ``{"c": command, "a": [args]}``;
 replies ``{"s": status, "v": value, "e": events}`` where ``events`` carries
-the raw result updates (binary tail section ``"r"``) and decay rebases
-(``"n"``) buffered since the previous reply.  Document batches skip the
+the decay rebases (``"n"``) buffered since the previous reply.  Document batches skip the
 generic argument path: ``batch_stage``/``batch_commit`` carry one packed
 batch frame as the tail or as a shared-memory ring slot descriptor
 (``"q"``/``"o"``/``"l"``).
@@ -47,9 +46,9 @@ from repro.persistence.wal import WalRecord
 OK = "ok"
 ERR = "err"
 
-#: Cluster-only WAL record kind: a whole encoded shard state moved by the
-#: rebalance path (``adopt_encoded``/``restore_encoded``).  Journaled so a
-#: standby tracks state movement too; never produced by ``DurableMonitor``.
+#: Cluster-only WAL record kind: a whole encoded shard state installed by
+#: ``restore_encoded``.  Journaled so a standby tracks the state replacement
+#: too; never produced by ``DurableMonitor``.
 KIND_ADOPT = "adopt"
 
 #: ``(args, owning shard id or None) -> (record kind, record data)``.
@@ -118,10 +117,6 @@ COMMANDS: Dict[str, ShardCommand] = {
         "renormalize",
         record=lambda args, shard: codec.renormalize_record(float(args[0])),
     ),
-    "adopt_encoded": ShardCommand(
-        "adopt_encoded",
-        record=lambda args, shard: (KIND_ADOPT, {"op": "adopt", "state": args[0]}),
-    ),
     "restore_encoded": ShardCommand(
         "restore_encoded",
         record=lambda args, shard: (KIND_ADOPT, {"op": "restore", "state": args[0]}),
@@ -134,7 +129,6 @@ COMMANDS: Dict[str, ShardCommand] = {
     "reset_statistics": ShardCommand("reset_statistics"),
     "snapshot_encoded": ShardCommand("snapshot_encoded"),
     "telemetry": ShardCommand("telemetry_snapshot"),
-    "set_capture_raw": ShardCommand("capture_raw", is_property=True),
     "queries": ShardCommand("queries", is_property=True, to_wire=dict),
     "num_queries": ShardCommand("num_queries", is_property=True),
     "counters": ShardCommand(
@@ -192,9 +186,11 @@ def replay_record(target, record: WalRecord, shard_id: Optional[int] = None) -> 
     if kind == codec.KIND_RENORMALIZE:
         return target.renormalize(float(data["origin"]))
     if kind == KIND_ADOPT:
-        if data.get("op") == "restore":
-            return target.restore_encoded(data["state"])
-        return target.adopt_encoded(data["state"])
+        if data.get("op") != "restore":
+            raise PersistenceError(
+                f"WAL record {record.lsn} has unknown {kind!r} op {data.get('op')!r}"
+            )
+        return target.restore_encoded(data["state"])
     raise PersistenceError(f"WAL record {record.lsn} has unknown kind {kind!r}")
 
 
@@ -217,7 +213,6 @@ class Outcome(NamedTuple):
     status: str
     value: object
     extra: Optional[Dict[str, object]]
-    raw: List[object]
     renorms: List[Tuple[float, float]]
 
 
@@ -287,9 +282,8 @@ class ShardServer:
                     value = entry.run(self.shard, args)
         except Exception as exc:  # noqa: BLE001 - every shard error crosses back
             status, value = ERR, exc
-        raw = self.shard.drain_raw_updates()
         renorms = self.shard.drain_renormalizations()
-        return Outcome(command, status, value, extra, raw, renorms)
+        return Outcome(command, status, value, extra, renorms)
 
     def _run_extension(self, command: str, args: List[object]) -> object:
         if command == "ping":
@@ -308,7 +302,7 @@ class ShardServer:
         is replaced by a :class:`WorkerError` reply, so the caller is never
         left waiting on a request that was served.
         """
-        command, status, value, extra, raw, renorms = outcome
+        command, status, value, extra, renorms = outcome
         for attempt in range(2):
             if attempt:
                 status = ERR
@@ -318,8 +312,6 @@ class ShardServer:
             tail = codec.TailWriter()
             try:
                 events: Dict[str, object] = {}
-                if raw:
-                    events["r"] = codec.encode_value(raw, tail)
                 if renorms:
                     events["n"] = [[origin, factor] for origin, factor in renorms]
                 header = {"s": status, "v": codec.encode_value(value, tail), "e": events}

@@ -42,8 +42,8 @@ class PartitionPolicy(abc.ABC):
     def bind(self, n_shards: int) -> None:
         """Attach the policy to a router with ``n_shards`` shards.
 
-        Called on (re)binding — including rebalances, which reuse the same
-        instance for a new topology — so subclasses carrying placement
+        Called on (re)binding — including crash recovery, which re-binds the
+        same instance to a fresh router — so subclasses carrying placement
         state must reset it here while keeping their configuration.
         """
         if n_shards <= 0:

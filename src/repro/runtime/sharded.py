@@ -2,13 +2,14 @@
 
 :class:`ShardedMonitor` is drop-in API-compatible with
 :class:`~repro.core.monitor.ContinuousMonitor`: registration, per-event and
-batched processing, top-k lookups, listeners and statistics all behave the
-same — but behind the facade the registered queries are partitioned by a
+batched processing, top-k lookups and statistics all behave the same — but
+behind the facade the registered queries are partitioned by a
 :class:`~repro.runtime.routing.QueryRouter` across independent
 :class:`~repro.core.monitor.ContinuousMonitor` hosts — a shard *is* a
 monitor, with a ``shard_id`` — and every stream event fans out to all shards
 through a pluggable
-:class:`~repro.runtime.executors.ShardExecutor`.
+:class:`~repro.runtime.executors.ShardExecutor`.  The topology — shard count
+and partition policy — is fixed for the monitor's life.
 
 Merge semantics
 ---------------
@@ -22,10 +23,7 @@ reconciliation:
 * per-shard :class:`~repro.metrics.counters.EventCounters` merge losslessly
   (every field is a sum over disjoint work), except ``documents``, which
   every shard counts per event it sees; the facade reports the stream's
-  true event count, tracked at the routing layer;
-* listeners registered on the facade observe every raw
-  :class:`~repro.core.results.ResultUpdate`, replayed shard by shard after
-  the event (never concurrently).
+  true event count, tracked at the routing layer.
 
 Because scoring, decay and expiration are per-query (or pure functions of
 the arrival sequence), a query's results, scores and thresholds are
@@ -44,7 +42,7 @@ Typical usage::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.config import MonitorConfig
 from repro.core.monitor import ContinuousMonitor, MonitorSurface
@@ -57,8 +55,6 @@ from repro.runtime.executors import ShardExecutor, make_executor
 from repro.runtime.routing import PartitionPolicy, QueryRouter, make_policy
 from repro.text.vectorizer import Vectorizer
 from repro.types import QueryId
-
-UpdateListener = Callable[[ResultUpdate], None]
 
 
 class ShardedMonitor(MonitorSurface):
@@ -87,13 +83,9 @@ class ShardedMonitor(MonitorSurface):
         self._executor = make_executor(executor, n_shards)
         self._shards = self._spawn_shards(n_shards)
         self._router = QueryRouter(n_shards, make_policy(policy))
-        self._listeners: List[UpdateListener] = []
         #: Stream events processed, tracked here because every shard counts
         #: each event once (see the counters module docstring).
         self._documents_processed = 0
-        #: Counters of shards retired by past rebalances (kept so that
-        #: :attr:`statistics` stays lossless across rebalancing).
-        self._retired_counters = EventCounters()
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -176,19 +168,10 @@ class ShardedMonitor(MonitorSurface):
     # Stream processing
     # ------------------------------------------------------------------ #
 
-    def _dispatch_raw_updates(self) -> None:
-        """Replay buffered raw updates to the facade listeners, shard by shard."""
-        for shard in self._shards:
-            for update in shard.drain_raw_updates():
-                for listener in self._listeners:
-                    listener(update)
-
     def process(self, document) -> List[ResultUpdate]:
         """Process one stream event on every shard; merged updates, by query id."""
         per_shard = self._run_on_shards("process", document)
         self._documents_processed += 1
-        if self._listeners:
-            self._dispatch_raw_updates()
         merged: List[ResultUpdate] = []
         for updates in per_shard:
             merged.extend(updates)
@@ -206,8 +189,6 @@ class ShardedMonitor(MonitorSurface):
         docs = documents if isinstance(documents, list) else list(documents)
         per_shard = self._run_on_shards("process_batch", docs)
         self._documents_processed += len(docs)
-        if self._listeners:
-            self._dispatch_raw_updates()
         merged: List[BatchUpdate] = []
         for updates in per_shard:
             merged.extend(updates)
@@ -246,17 +227,6 @@ class ShardedMonitor(MonitorSurface):
             results.update(shard.all_results())
         return results
 
-    def add_update_listener(self, listener: UpdateListener) -> None:
-        """Register a callback invoked for every raw result update.
-
-        Listeners run on the caller's thread after each event/batch has
-        been merged — never concurrently — in shard order, with each
-        query's update sequence preserved.
-        """
-        self._listeners.append(listener)
-        for shard in self._shards:
-            shard.capture_raw = True
-
     @property
     def statistics(self) -> EventCounters:
         """Lossless merge of per-shard counters, as one coherent view.
@@ -267,7 +237,6 @@ class ShardedMonitor(MonitorSurface):
         the monitor rather than per-partition.
         """
         merged = EventCounters.aggregate(shard.statistics for shard in self._shards)
-        merged.merge(self._retired_counters)
         merged.documents = self._documents_processed
         return merged
 
@@ -300,8 +269,7 @@ class ShardedMonitor(MonitorSurface):
         per-shard sample streams, the same contract
         :attr:`statistics` gives for scalar counters.  For process- or
         socket-resident shards the per-shard snapshot is one ``telemetry``
-        command round trip.  Unlike counters, telemetry is a measurement
-        rather than state: a rebalance retires the old shards' samples.
+        command round trip.
         """
         merged = Telemetry()
         for shard in self._shards:
@@ -321,7 +289,6 @@ class ShardedMonitor(MonitorSurface):
         """Zero all counters and timing samples (e.g. after a warm-up phase)."""
         for shard in self._shards:
             shard.reset_statistics()
-        self._retired_counters.reset()
         self._documents_processed = 0
 
     @property
@@ -389,14 +356,11 @@ class ShardedMonitor(MonitorSurface):
     # ------------------------------------------------------------------ #
 
     def facade_state(self) -> Dict[str, object]:
-        """The facade-level facts a durable sidecar records: the stream's
-        true event count and the counters of shards retired by rebalances
-        (per-shard counters live in the engines and are restored with them).
+        """The facade-level fact a durable sidecar records: the stream's
+        true event count (per-shard counters live in the engines and are
+        restored with them).
         """
-        return {
-            "documents_processed": self._documents_processed,
-            "retired_counters": self._retired_counters.snapshot(),
-        }
+        return {"documents_processed": self._documents_processed}
 
     def adopt_facade_state(self, state: Dict[str, object], replayed_documents: int) -> None:
         """Reinstate :meth:`facade_state` around freshly recovered shards.
@@ -411,7 +375,6 @@ class ShardedMonitor(MonitorSurface):
         """
         documents = int(state["documents_processed"])  # type: ignore[call-overload]
         self._documents_processed = documents + replayed_documents
-        self._retired_counters.restore(state["retired_counters"])  # type: ignore[arg-type]
         self._router = QueryRouter(self.n_shards, self._router.policy)
         for shard_id, shard in enumerate(self._shards):
             # Bind the dict once: for a process-resident shard the property
@@ -420,103 +383,3 @@ class ShardedMonitor(MonitorSurface):
             for query_id in sorted(queries):
                 self._router.adopt(queries[query_id], shard_id)
             self.ensure_next_query_id(max(queries, default=-1) + 1)
-
-    # ------------------------------------------------------------------ #
-    # Rebalancing
-    # ------------------------------------------------------------------ #
-
-    def rebalance(
-        self,
-        n_shards: Optional[int] = None,
-        policy: Optional[Union[str, PartitionPolicy]] = None,
-    ) -> None:
-        """Repartition the registered queries onto a new shard topology.
-
-        Captures every shard's engine state, rebuilds the shard set with
-        the requested size/policy, and re-routes each query (ascending id,
-        so placement is deterministic) together with its captured result
-        heap, the common decay origin, stream clock and live window.
-        Results, scores and thresholds are preserved bit-for-bit; the old
-        shards' work counters are retired into the facade so
-        :attr:`statistics` remains lossless.
-        """
-        new_n = n_shards if n_shards is not None else self.n_shards
-        if new_n <= 0:
-            raise ConfigurationError(f"n_shards must be > 0, got {new_n}")
-        # One serialization path for all state movement: every shard capture
-        # travels through the persistence codec, the same encoding a
-        # checkpoint writes to disk — and, for process-resident shards, the
-        # same bytes that cross the worker pipes (function-level import —
-        # the durability facade imports this module).  Structure captures
-        # (zone memo, impact lists) are rebuilt from scratch on a partial
-        # restore, so their O(memo) encode is skipped.
-        from repro.persistence import codec
-
-        snapshots: List[Dict[str, object]] = [
-            codec.decode_monitor_state(
-                shard.snapshot_encoded(False)  # structures are rebuilt
-            )
-            for shard in self._shards
-        ]
-
-        # Merge the captures: queries and results are disjoint unions;
-        # decay, stream clock and live window are identical in every shard
-        # (pure functions of the arrival sequence), so the first shard's
-        # capture provides them.
-        reference = snapshots[0]
-        merged_engine: Dict[str, object] = {
-            "decay": reference["decay"],
-            "last_arrival": reference["last_arrival"],
-            "results": {},
-        }
-        queries: List[Query] = []
-        for state in snapshots:
-            queries.extend(state["queries"])  # type: ignore[arg-type]
-            merged_engine["results"].update(state["results"])  # type: ignore[union-attr, arg-type]
-            self._retired_counters += EventCounters(
-                **{
-                    name: value
-                    for name, value in state["counters"].items()  # type: ignore[union-attr]
-                }
-            )
-        expiration_state = snapshots[0].get("expiration")
-        queries.sort(key=lambda query: query.query_id)
-
-        # Rebuild the shard set on the new topology.  A shard-resident
-        # executor replaces its worker processes; otherwise fresh local
-        # shards are built.
-        if self._executor.shard_resident:
-            self._shards = self._executor.resize(new_n, self.config)  # type: ignore[attr-defined]
-        else:
-            self._shards = self._spawn_shards(new_n)
-        if self._listeners:
-            for shard in self._shards:
-                shard.capture_raw = True
-        # Reuse the existing policy instance when none is requested:
-        # QueryRouter re-binds it, which resets its placement state for the
-        # new topology while preserving its configuration (and custom
-        # subclasses the by-name registry does not know).
-        next_policy = make_policy(policy) if policy is not None else self._router.policy
-        self._router = QueryRouter(new_n, next_policy)
-        partitions: List[List[Query]] = [[] for _ in range(new_n)]
-        for query in queries:
-            partitions[self._router.route(query)].append(query)
-        merged_results: Dict[QueryId, object] = merged_engine["results"]  # type: ignore[assignment]
-        for shard, partition in zip(self._shards, partitions):
-            # Each shard adopts its partition's slice of the merged capture,
-            # cut and re-encoded through the codec (counters stay with the
-            # facade — the adopt path never takes them).
-            partition_state: Dict[str, object] = {
-                "queries": partition,
-                "results": {
-                    query.query_id: merged_results[query.query_id]
-                    for query in partition
-                    if query.query_id in merged_results
-                },
-                "decay": merged_engine["decay"],
-                "counters": {},
-                "last_arrival": merged_engine["last_arrival"],
-            }
-            if expiration_state is not None:
-                partition_state["expiration"] = expiration_state
-            shard.adopt_encoded(codec.encode_monitor_state(partition_state))

@@ -58,11 +58,10 @@ class TestProcessing:
     def test_updates_and_listeners(self):
         algo = ExhaustiveAlgorithm()
         algo.register(make_query(0, {1: 1.0}, k=1))
-        received = []
-        algo.add_update_listener(received.append)
         updates = algo.process(make_document(0, {1: 1.0}, 1.0))
         assert len(updates) == 1
-        assert received == updates
+        assert (updates[0].query_id, updates[0].doc_id) == (0, 0)
+        assert updates[0].evicted_doc_id is None
 
     def test_scores_follow_equation_1(self):
         lam = 0.01

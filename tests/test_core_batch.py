@@ -209,16 +209,6 @@ class TestCoalescing:
             for entry in update.entries:
                 assert entry.doc_id in member_ids
 
-    def test_listeners_still_receive_raw_updates(self, small_corpus, small_queries):
-        documents = DocumentStream(small_corpus, StreamConfig(seed=11)).take(30)
-        algo = _build_algorithm("mrio", small_corpus, small_queries)
-        raw: list = []
-        algo.add_update_listener(raw.append)
-        algo.process_batch(documents)
-        assert raw, "listeners should see the per-event update stream"
-        assert all(isinstance(update, ResultUpdate) for update in raw)
-        assert len(raw) == algo.counters.result_updates
-
 
 class TestMonitorBatch:
     def test_monitor_batch_matches_per_event_with_window(self, small_corpus, small_queries):

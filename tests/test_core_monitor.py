@@ -100,28 +100,26 @@ class TestMonitorProcessing:
         assert monitor.all_results()[query.query_id] == top
 
     def test_capture_listeners_attach_on_first_use(self):
-        """An uncaptured engine keeps an empty listener list (and with it
-        ``process_batch``'s no-listener fast path); switching a capture on
-        attaches its listener once."""
-        monitor = ContinuousMonitor()
+        """An uncaptured engine keeps an empty rebase-listener list;
+        switching the capture on attaches its listener once."""
+        monitor = ContinuousMonitor(MonitorConfig(lam=0.1))
         monitor.register_vector({1: 1.0}, k=2)
         engine = monitor.algorithm
-        monitor.capture_raw = False  # never switched on: nothing to silence
-        assert engine._update_listeners == [] and engine._renormalize_listeners == []
-        assert monitor.drain_raw_updates() == [] and monitor.drain_renormalizations() == []
+        monitor.capture_renorms = False  # never switched on: nothing to silence
+        assert engine._renormalize_listeners == []
+        assert monitor.drain_renormalizations() == []
 
-        monitor.capture_raw = monitor.capture_renorms = True
-        updates = monitor.process(make_document(0, {1: 1.0}, 1.0))
+        monitor.capture_renorms = True
+        monitor.process(make_document(0, {1: 1.0}, 1.0))
         monitor.renormalize(1.0)
-        assert monitor.drain_raw_updates() == updates
         assert [origin for origin, _ in monitor.drain_renormalizations()] == [1.0]
 
-        monitor.capture_raw = False
-        monitor.capture_raw = True
-        assert len(engine._update_listeners) == len(engine._renormalize_listeners) == 1
-        monitor.capture_raw = False
-        monitor.process(make_document(1, {1: 1.0}, 2.0))
-        assert monitor.drain_raw_updates() == []
+        monitor.capture_renorms = False
+        monitor.capture_renorms = True
+        assert len(engine._renormalize_listeners) == 1
+        monitor.capture_renorms = False
+        monitor.renormalize(2.0)
+        assert monitor.drain_renormalizations() == []
 
     def test_process_stream_with_limit(self, small_corpus):
         monitor = ContinuousMonitor()
@@ -130,6 +128,19 @@ class TestMonitorProcessing:
         monitor.process_stream(stream, limit=10)
         assert monitor.statistics.documents == 10
         assert len(monitor.response_times) == 10
+
+    def test_process_stream_with_limit_consumes_only_the_limit(self, small_corpus):
+        """Two bounded calls on one iterator process consecutive documents:
+        the limit stops before pulling the next one off the iterator."""
+        monitor = ContinuousMonitor()
+        monitor.register_vector({1: 1.0, 2: 1.0})
+        documents = DocumentStream(small_corpus, StreamConfig(seed=3)).take(8)
+        remaining = iter(documents)
+        monitor.process_stream(remaining, limit=3)
+        monitor.process_stream(remaining, limit=3)
+        assert monitor.statistics.documents == 6
+        assert monitor.last_arrival == documents[5].arrival_time
+        assert next(remaining) is documents[6]
 
     def test_process_text_requires_vectorizer(self):
         monitor = ContinuousMonitor()
@@ -150,14 +161,6 @@ class TestMonitorProcessing:
         monitor = ContinuousMonitor(vectorizer=Vectorizer(Vocabulary()))
         monitor.register_keywords(["alpha"])
         assert monitor.process_text(0, "the of and", 1.0) == []
-
-    def test_update_listener(self):
-        monitor = ContinuousMonitor()
-        monitor.register_vector({1: 1.0})
-        seen = []
-        monitor.add_update_listener(seen.append)
-        monitor.process(make_document(0, {1: 1.0}, 1.0))
-        assert len(seen) == 1
 
     def test_custom_algorithm_instance(self):
         algo = MRIOAlgorithm(ub_variant="exact")

@@ -825,45 +825,6 @@ class TestFacadeBehaviour:
         assert fresh.query_id > dead.query_id
         recovered.close()
 
-    @pytest.mark.parametrize("full", [True, False], ids=["full", "incremental"])
-    def test_checkpoint_after_rebalance_captures_the_live_shards(
-        self, tmp_path, full, small_queries, small_documents
-    ):
-        """Regression: a rebalance replaces the facade's shard set, so the
-        host list must be read afresh — a checkpoint of the retired shards
-        would compact away every event journaled since the rebalance."""
-        config = MonitorConfig(algorithm="mrio", lam=LAM, window_horizon=25.0)
-        durability = DurabilityConfig(
-            directory=str(tmp_path), group_commit=1, checkpoint_interval=None
-        )
-        reference = ShardedMonitor(config, n_shards=2)
-        monitor = DurableMonitor(durability, config, n_shards=2)
-        for target in (reference, monitor):
-            target.register_queries(small_queries[:30])
-            target.process_batch(small_documents[:10])
-        monitor.checkpoint(full=True)
-        for target in (reference, monitor):
-            target.process_batch(small_documents[10:15])
-        reference.rebalance(policy="affinity")
-        monitor.monitor.rebalance(policy="affinity")
-        for target in (reference, monitor):
-            target.process_batch(small_documents[15:25])
-            target.unregister(small_queries[3].query_id)
-            # The rebase listener sat on a retired shard: an incremental
-            # round after this rebase must still be exact.
-            target.renormalize(small_documents[24].arrival_time)
-        monitor.checkpoint(full=full)
-        for target in (reference, monitor):
-            target.process_batch(small_documents[25:30])
-        del monitor  # crash
-
-        recovered, report = DurableMonitor.recover(durability)
-        assert report.replayed_documents == 5  # only the tail past the round
-        _assert_recovered_equals(
-            recovered, reference, small_queries[:3] + small_queries[4:30]
-        )
-        recovered.close()
-
     def test_recover_rebuilds_config_from_meta(self, tmp_path, small_queries):
         config = MonitorConfig(algorithm="rio", lam=2e-3, default_k=7)
         durability = DurabilityConfig(directory=str(tmp_path), group_commit=1)

@@ -74,7 +74,7 @@ class TestDocumentAndQuery:
     def test_decode_query_skips_revalidation(self, monkeypatch):
         """Codec-sourced vectors are trusted: they were validated when first
         registered and round-trip bit-exactly, so decode must not re-walk
-        them (WAL replay and rebalance adoption decode every query)."""
+        them (WAL replay and checkpoint restores decode every query)."""
         from repro.queries import query as query_module
 
         query = make_query(11, {5: 0.2, 2: 0.9}, k=4)

@@ -200,51 +200,6 @@ class TestProcessShardEquivalence:
             procs.close()
             serial.close()
 
-    def test_listeners_observe_all_raw_updates(self, small_queries, small_documents):
-        serial = ShardedMonitor(
-            _config({"algorithm": "mrio"}), n_shards=2, executor="serial"
-        )
-        procs = ShardedMonitor(
-            _config({"algorithm": "mrio"}), n_shards=2, executor="processes"
-        )
-        try:
-            serial_seen, procs_seen = [], []
-            serial.add_update_listener(serial_seen.append)
-            procs.add_update_listener(procs_seen.append)
-            serial.register_queries(small_queries)
-            procs.register_queries(small_queries)
-            for start in range(0, len(small_documents), BATCH):
-                batch = small_documents[start : start + BATCH]
-                serial.process_batch(batch)
-                procs.process_batch(batch)
-            assert serial_seen, "workload produced no updates"
-            assert serial_seen == procs_seen
-        finally:
-            procs.close()
-            serial.close()
-
-    def test_rebalance_between_worker_sets(self, small_queries, small_documents):
-        serial, _ = _run(
-            _config({"algorithm": "mrio"}), small_queries, small_documents, 2, "serial"
-        )
-        procs = ShardedMonitor(
-            _config({"algorithm": "mrio"}), n_shards=2, executor="processes"
-        )
-        try:
-            procs.register_queries(small_queries)
-            half = (len(small_documents) // (2 * BATCH)) * BATCH
-            for start in range(0, half, BATCH):
-                procs.process_batch(small_documents[start : start + BATCH])
-            procs.rebalance(n_shards=4, policy="affinity")
-            assert procs.n_shards == 4
-            assert len({handle.process.pid for handle in procs.shards}) == 4
-            for start in range(half, len(small_documents), BATCH):
-                procs.process_batch(small_documents[start : start + BATCH])
-            _assert_identical_state(serial, procs, small_queries)
-        finally:
-            procs.close()
-            serial.close()
-
 
 class TestFailureSemantics:
     """State after a failed fan-out is identical across executor flavours."""

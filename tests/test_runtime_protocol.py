@@ -106,7 +106,7 @@ class TestEveryRow:
             exposed = getattr(handle, entry.attr)
             if not entry.is_property:
                 assert callable(exposed)
-            elif name != "set_capture_raw":
+            else:
                 direct = getattr(shard, entry.attr)
                 assert exposed == (dict(direct) if name == "queries" else direct)
 
@@ -130,7 +130,6 @@ def _arguments(name: str):
         "register": (QUERIES[4],),
         "unregister": (QUERIES[1].query_id,),
         "renormalize": (3.0,),
-        "adopt_encoded": (donor.snapshot_encoded(False),),
         "restore_encoded": (donor.snapshot_encoded(),),
     }[name]
 
@@ -139,7 +138,7 @@ def _arguments(name: str):
 def test_journal_record_replays_to_the_same_state_and_value(name):
     entry = COMMANDS[name]
     args = _arguments(name)
-    fresh = name in ("adopt_encoded", "restore_encoded")
+    fresh = name == "restore_encoded"
     applied = ContinuousMonitor(CONFIG) if fresh else _warm_shard()
     replayed = ContinuousMonitor(CONFIG) if fresh else _warm_shard()
 
@@ -192,13 +191,17 @@ class TestSharedRoutine:
         from repro.exceptions import StreamError
 
         shard = _warm_shard()
-        pipe, _ = _handles(shard)
-        pipe.capture_raw = True
-        assert shard.capture_raw is True
-        with pytest.raises(StreamError):
-            pipe.call("process", DOCUMENTS[0])  # stale arrival
-        updates = pipe.call("process", DOCUMENTS[5])
-        assert updates and pipe.drain_raw_updates() == updates
+        shard.capture_renorms = True
+        for origin, handle in zip((4.25, 4.5), _handles(shard)):
+            rebases = []
+            handle.add_renormalize_listener(lambda origin, _, seen=rebases: seen.append(origin))
+            shard.renormalize(origin)  # buffered shard-side until the next reply
+            with pytest.raises(StreamError):
+                handle.call("process", DOCUMENTS[0])  # stale arrival
+            # The error reply still carried the drained rebase, exactly once.
+            assert rebases == [origin]
+            assert handle.call("num_queries") == 4
+            assert rebases == [origin]
 
     def test_unencodable_reply_falls_back_to_a_worker_error(self):
         server = ShardServer(

@@ -258,8 +258,6 @@ class TestShardedMonitorSurface:
             ShardedMonitor(n_shards=0)
         monitor = ShardedMonitor(n_shards=2)
         with pytest.raises(ConfigurationError):
-            monitor.rebalance(n_shards=0)
-        with pytest.raises(ConfigurationError):
             monitor.register_keywords(["hello"])  # no vectorizer
         monitor.close()
 

@@ -271,7 +271,7 @@ class TestShardedEquivalence:
 
 
 class TestMergedView:
-    """The facade's merged statistics, updates and listeners are coherent."""
+    """The facade's merged statistics and updates are coherent."""
 
     def test_counters_aggregate_losslessly(self, small_queries, small_documents):
         sharded, _ = _run_sharded(
@@ -288,31 +288,6 @@ class TestMergedView:
             else:
                 assert merged.snapshot()[name] == value
 
-    def test_listeners_observe_all_raw_updates(self, small_queries, small_documents):
-        single = ContinuousMonitor(_config({"algorithm": "mrio"}))
-        single.register_queries(small_queries)
-        single_seen = []
-        single.add_update_listener(single_seen.append)
-
-        sharded = ShardedMonitor(_config({"algorithm": "mrio"}), n_shards=3, executor="processes")
-        sharded.register_queries(small_queries)
-        sharded_seen = []
-        sharded.add_update_listener(sharded_seen.append)
-
-        for start in range(0, len(small_documents), BATCH):
-            batch = small_documents[start : start + BATCH]
-            single.process_batch(batch)
-            sharded.process_batch(batch)
-        sharded.close()
-
-        assert single_seen, "workload produced no updates"
-        assert sorted(single_seen) == sorted(sharded_seen)
-        # Each query's update sequence (its own temporal order) is preserved.
-        for query in small_queries:
-            want = [u for u in single_seen if u.query_id == query.query_id]
-            got = [u for u in sharded_seen if u.query_id == query.query_id]
-            assert want == got
-
     def test_batch_updates_ordered_by_query_id(self, small_queries, small_documents):
         sharded, per_batch = _run_sharded(
             _config({"algorithm": "mrio"}), small_queries, small_documents, 4, "processes"
@@ -327,72 +302,6 @@ class TestMergedView:
             _config({"algorithm": "mrio"}), small_queries, small_documents, 4, "serial"
         )
         assert sharded.all_results() == single.all_results()
-
-
-class TestRebalancing:
-    """Snapshot/restore moves live state across shard topologies."""
-
-    @pytest.mark.parametrize("overrides", [{"algorithm": "mrio"}, {"algorithm": "rio"}])
-    def test_rebalance_mid_stream_preserves_equivalence(
-        self, overrides, small_queries, small_documents
-    ):
-        config = MonitorConfig(
-            lam=0.2, max_amplification=1e3, window_horizon=15.0, **overrides
-        )
-        single = ContinuousMonitor(config)
-        single.register_queries(small_queries)
-        sharded = ShardedMonitor(
-            MonitorConfig(lam=0.2, max_amplification=1e3, window_horizon=15.0, **overrides),
-            n_shards=2,
-            policy="hash",
-            executor="serial",
-        )
-        sharded.register_queries(small_queries)
-
-        half = len(small_documents) // 2
-        for document in small_documents[:half]:
-            single.process(document)
-            sharded.process(document)
-
-        before_updates = sharded.statistics.result_updates
-        sharded.rebalance(n_shards=5, policy="affinity")
-        assert sharded.n_shards == 5
-        # Rebalancing is pure state movement: results and counters survive.
-        assert sharded.statistics.result_updates == before_updates
-        _assert_identical_state(single, sharded, small_queries, exact=True)
-
-        for start in range(half, len(small_documents), BATCH):
-            batch = small_documents[start : start + BATCH]
-            single.process_batch(batch)
-            sharded.process_batch(batch)
-        _assert_identical_state(single, sharded, small_queries, exact=True)
-        assert sharded.statistics.result_updates == single.statistics.result_updates
-        assert sharded.live_window_size == single.live_window_size
-        sharded.close()
-
-    def test_rebalance_preserves_custom_policy_instance(self, small_queries):
-        from repro.runtime.routing import TermAffinityPolicy
-
-        policy = TermAffinityPolicy(balance_slack=0.9, max_term_weight=9)
-        sharded = ShardedMonitor(_config({"algorithm": "mrio"}), n_shards=2, policy=policy)
-        sharded.register_queries(small_queries)
-        sharded.rebalance(n_shards=4)
-        # The same configured instance is re-bound, not rebuilt from its name.
-        assert sharded.router.policy is policy
-        assert sharded.router.policy.balance_slack == 0.9
-        assert sum(sharded.router.loads()) == len(small_queries)
-        sharded.close()
-
-    def test_rebalance_to_fewer_shards(self, small_queries, small_documents):
-        single, _ = _run_single(_config({"algorithm": "mrio"}), small_queries, small_documents)
-        sharded = ShardedMonitor(_config({"algorithm": "mrio"}), n_shards=4)
-        sharded.register_queries(small_queries)
-        for start in range(0, len(small_documents), BATCH):
-            sharded.process_batch(small_documents[start : start + BATCH])
-        sharded.rebalance(n_shards=1)
-        assert sharded.n_shards == 1
-        _assert_identical_state(single, sharded, small_queries, exact=True)
-        sharded.close()
 
 
 class TestDynamicMembership:
