@@ -147,7 +147,6 @@ def cell_considered(num_queries: int, warmup: int = 300, events: int = 200) -> d
     for document in stream.take(warmup):
         algorithm.process(document)
     algorithm.counters.reset()
-    algorithm.response_times.clear()
     start = time.perf_counter()
     for document in stream.take(events):
         algorithm.process(document)

@@ -6,26 +6,87 @@ document stream from the spec's seed, so each algorithm processes exactly
 the same events against exactly the same queries.  The stream is split into
 a warm-up prefix (results fill up, thresholds stabilize — not measured) and
 a measured segment whose per-event response times feed the tables.
+
+The harness is the one keeper of those samples: an engine only accumulates
+``counters.elapsed_seconds``, and each measured event's response time is the
+delta of that timer across its ``process`` call.  Summaries are numpy's
+mean/median/percentile (default linear interpolation), in milliseconds.
 """
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.bench.spec import ExperimentSpec
-from repro.core.config import MonitorConfig
 from repro.core.factory import create_algorithm
 from repro.documents.corpus import SyntheticCorpus
 from repro.documents.decay import ExponentialDecay
 from repro.documents.stream import DocumentStream, StreamConfig
-from repro.metrics.runstats import RunStatistics
-from repro.persistence.durable import DurabilityConfig, DurableMonitor
 from repro.queries.workloads import generate_workload
-from repro.runtime.sharded import ShardedMonitor
 
+
+def summarize_times(times_seconds: Sequence[float]) -> Dict[str, float]:
+    """Summary statistics (in milliseconds) of a response-time sample."""
+    if not times_seconds:
+        return {
+            "count": 0,
+            "mean_ms": 0.0,
+            "median_ms": 0.0,
+            "p95_ms": 0.0,
+            "p99_ms": 0.0,
+            "max_ms": 0.0,
+            "total_ms": 0.0,
+        }
+    arr = np.asarray(times_seconds, dtype=float) * 1000.0
+    return {
+        "count": int(arr.size),
+        "mean_ms": float(arr.mean()),
+        "median_ms": float(np.median(arr)),
+        "p95_ms": float(np.percentile(arr, 95)),
+        "p99_ms": float(np.percentile(arr, 99)),
+        "max_ms": float(arr.max()),
+        "total_ms": float(arr.sum()),
+    }
+
+
+@dataclass
+class RunStatistics:
+    """Everything measured for one (algorithm, configuration) run."""
+
+    algorithm: str
+    num_queries: int
+    num_events: int
+    response_times: List[float] = field(default_factory=list)
+    counters: Dict[str, float] = field(default_factory=dict)
+    extra: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def mean_response_ms(self) -> float:
+        return summarize_times(self.response_times)["mean_ms"]
+
+    @property
+    def median_response_ms(self) -> float:
+        return summarize_times(self.response_times)["median_ms"]
+
+    @property
+    def p95_response_ms(self) -> float:
+        return summarize_times(self.response_times)["p95_ms"]
+
+    def summary(self) -> Dict[str, float]:
+        """Flat summary used by the reporting layer."""
+        result: Dict[str, float] = {
+            "algorithm": self.algorithm,
+            "num_queries": self.num_queries,
+            "num_events": self.num_events,
+        }
+        result.update(summarize_times(self.response_times))
+        for name, value in self.counters.items():
+            result[f"counter_{name}"] = value
+        result.update(self.extra)
+        return result
 
 @dataclass
 class ExperimentResult:
@@ -55,58 +116,16 @@ class ExperimentResult:
         return seen
 
 
-def _engine_name(spec: ExperimentSpec, name: str) -> str:
-    """The algorithm actually constructed for a cell labelled ``name``.
-
-    ``spec.engine="columnar"`` substitutes the packed-array engine while the
-    cell keeps its requested label, so a grid can be re-run per engine and
-    compared cell by cell.
-    """
-    return "columnar" if spec.engine == "columnar" else name
-
-
 def _build_algorithm(spec: ExperimentSpec, name: str):
     decay = ExponentialDecay(lam=spec.lam)
-    resolved = _engine_name(spec, name)
     kwargs: Dict[str, object] = {}
-    if resolved == "mrio":
+    if name == "mrio":
         kwargs["ub_variant"] = spec.ub_variant
-    return create_algorithm(resolved, decay, **kwargs)
+    return create_algorithm(name, decay, **kwargs)
 
 
-def _build_sharded_monitor(spec: ExperimentSpec, name: str) -> ShardedMonitor:
-    return ShardedMonitor(
-        _build_monitor_config(spec, name),
-        n_shards=spec.shards,
-        policy=spec.shard_policy,
-        executor=spec.shard_executor,
-    )
-
-
-def _build_monitor_config(spec: ExperimentSpec, name: str) -> MonitorConfig:
-    resolved = _engine_name(spec, name)
-    kwargs: Dict[str, str] = {}
-    if resolved == "mrio":
-        kwargs["ub_variant"] = spec.ub_variant
-    return MonitorConfig(algorithm=resolved, lam=spec.lam, **kwargs)
-
-
-def run_cell(
-    spec: ExperimentSpec,
-    algorithm: str,
-    num_queries: int,
-    extra_counters: bool = True,
-) -> RunStatistics:
-    """Run one (algorithm, query count) cell of an experiment.
-
-    With ``spec.shards > 1`` the cell is hosted behind a
-    :class:`~repro.runtime.sharded.ShardedMonitor` (same workload, same
-    stream) and the reported response times are the per-event totals across
-    shards.  With ``spec.durability`` the engine is wrapped in a
-    :class:`~repro.persistence.durable.DurableMonitor` journaling to a
-    throwaway directory (removed when the cell ends), which is the
-    durability-overhead ablation axis.
-    """
+def run_cell(spec: ExperimentSpec, algorithm: str, num_queries: int) -> RunStatistics:
+    """Run one (algorithm, query count) cell of an experiment."""
     corpus = SyntheticCorpus(spec.corpus, seed=spec.seed)
     # Flash-crowd cells draw the burst from the same workload distribution:
     # one generation call hands out distinct query ids, the tail beyond the
@@ -120,102 +139,49 @@ def run_cell(
     )
     burst = queries[num_queries:]
     queries = queries[:num_queries]
-    sharded = spec.shards > 1
-    wal_dir: Optional[str] = None
-    if spec.durability:
-        wal_dir = tempfile.mkdtemp(prefix="repro-bench-wal-")
-        durability = DurabilityConfig(
-            directory=wal_dir,
-            group_commit=spec.wal_group_commit,
-            fsync=spec.wal_fsync,
-            checkpoint_interval=None,
-        )
-        engine = DurableMonitor(
-            durability,
-            _build_monitor_config(spec, algorithm),
-            n_shards=spec.shards,
-            policy=spec.shard_policy,
-            executor=spec.shard_executor,
-        )
-        engine.register_queries(queries)
-    elif sharded:
-        engine = _build_sharded_monitor(spec, algorithm)
-        engine.register_queries(queries)
-    else:
-        engine = _build_algorithm(spec, algorithm)
-        engine.register_all(queries)
-    monitor_style = spec.durability or sharded
+    engine = _build_algorithm(spec, algorithm)
+    engine.register_all(queries)
 
-    try:
-        stream = DocumentStream(corpus, StreamConfig(seed=spec.seed + 202))
-        # Warm-up: fill the result heaps so thresholds (and thus pruning) are
-        # in steady state, exactly like the paper measures a warmed-up server.
-        for document in stream.take(spec.warmup_events):
-            engine.process(document)
-        if monitor_style:
-            engine.reset_statistics()
-        else:
-            engine.response_times.clear()
-            engine.counters.reset()
+    stream = DocumentStream(corpus, StreamConfig(seed=spec.seed + 202))
+    # Warm-up: fill the result heaps so thresholds (and thus pruning) are
+    # in steady state, exactly like the paper measures a warmed-up server.
+    for document in stream.take(spec.warmup_events):
+        engine.process(document)
+    counters = engine.counters
+    counters.reset()
 
-        documents = list(stream.take(spec.num_events))
-        join_at = int(spec.churn_join_fraction * len(documents))
-        leave_at = int(spec.churn_leave_fraction * len(documents))
-        joined = False
-        for position, document in enumerate(documents):
-            if burst and position == join_at and not joined:
-                joined = True
-                if monitor_style:
-                    engine.register_queries(burst)
-                else:
-                    engine.register_all(burst)
-            if burst and joined and position == leave_at:
-                for query in burst:
-                    engine.unregister(query.query_id)
-                joined = False
-            engine.process(document)
-        if burst and joined:
-            # leave fraction of 1.0: the crowd departs after the last event.
+    documents = list(stream.take(spec.num_events))
+    join_at = int(spec.churn_join_fraction * len(documents))
+    leave_at = int(spec.churn_leave_fraction * len(documents))
+    joined = False
+    response_times: List[float] = []
+    for position, document in enumerate(documents):
+        if burst and position == join_at and not joined:
+            joined = True
+            engine.register_all(burst)
+        if burst and joined and position == leave_at:
             for query in burst:
                 engine.unregister(query.query_id)
+            joined = False
+        started = counters.elapsed_seconds
+        engine.process(document)
+        response_times.append(counters.elapsed_seconds - started)
+    if burst and joined:
+        # leave fraction of 1.0: the crowd departs after the last event.
+        for query in burst:
+            engine.unregister(query.query_id)
 
-        if extra_counters:
-            counters = (
-                engine.statistics.per_document()
-                if monitor_style
-                else engine.counters.per_document()
-            )
-        else:
-            counters = {}
-        extra: Dict[str, float] = {}
-        if spec.engine == "columnar":
-            extra["columnar"] = 1.0
-        if sharded:
-            extra["shards"] = float(spec.shards)
-        if spec.durability:
-            extra["durability"] = 1.0
-            extra["wal_group_commit"] = float(spec.wal_group_commit)
-        if spec.churn_burst:
-            extra["churn_burst"] = float(spec.churn_burst)
-            extra["churn_ops"] = float(2 * spec.churn_burst)
-        response_times = list(engine.response_times)
-        batch_response_times = [
-            (int(size), float(elapsed))
-            for size, elapsed in getattr(engine, "batch_response_times", [])
-        ]
-    finally:
-        if spec.durability or sharded:
-            engine.close()
-        if wal_dir is not None:
-            shutil.rmtree(wal_dir, ignore_errors=True)
+    extra: Dict[str, float] = {}
+    if spec.churn_burst:
+        extra["churn_burst"] = float(spec.churn_burst)
+        extra["churn_ops"] = float(2 * spec.churn_burst)
     return RunStatistics(
         algorithm=algorithm,
         num_queries=num_queries,
         num_events=spec.num_events,
         response_times=response_times,
-        counters=counters,
+        counters=counters.per_document(),
         extra=extra,
-        batch_response_times=batch_response_times,
     )
 
 

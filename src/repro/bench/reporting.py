@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.bench.harness import ExperimentResult
-from repro.metrics.runstats import RunStatistics
+from repro.bench.harness import ExperimentResult, RunStatistics
 
 
 def _format_row(cells: Sequence[str], widths: Sequence[int]) -> str:

@@ -79,19 +79,6 @@ class ExperimentSpec:
     min_terms: int = 2
     max_terms: int = 5
     ub_variant: str = "tree"
-    #: Engine backing each cell: ``"scalar"`` runs the algorithm named by
-    #: the cell as-is; ``"columnar"`` substitutes the packed-array engine
-    #: (``repro.core.columnar``) while keeping the cell's workload, stream
-    #: and label — the scalar-vs-columnar ablation axis.
-    engine: str = "scalar"
-    #: Number of engine shards per cell.  1 runs the plain single-engine
-    #: path; > 1 hosts each cell behind a ShardedMonitor.
-    shards: int = 1
-    #: Shard executor (``"serial"``/``"processes"``); only used when
-    #: ``shards > 1``.
-    shard_executor: str = "serial"
-    #: Partitioning policy (``"hash"``/``"affinity"``) for sharded cells.
-    shard_policy: str = "hash"
     #: Flash-crowd churn: this many extra queries subscribe in one burst
     #: mid-measurement and unsubscribe in a second burst later, modelling a
     #: breaking-news audience attaching to a live stream.  0 disables churn.
@@ -100,14 +87,6 @@ class ExperimentSpec:
     churn_join_fraction: float = 0.25
     #: Fraction of the measured stream after which the burst unsubscribes.
     churn_leave_fraction: float = 0.75
-    #: When True the cell runs behind a ``DurableMonitor`` journaling to a
-    #: throwaway directory — the durability on/off ablation axis.
-    durability: bool = False
-    #: WAL group-commit size for durable cells (records per flushed group).
-    wal_group_commit: int = 1024
-    #: Whether durable cells fsync every commit group (off by default: the
-    #: benchmarks measure the journaling cost, not the disk's).
-    wal_fsync: bool = False
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     seed: int = 42
 
@@ -123,25 +102,6 @@ class ExperimentSpec:
         if self.workload not in ("uniform", "connected"):
             raise BenchmarkError(
                 f"experiment {self.name}: workload must be 'uniform' or 'connected'"
-            )
-        if self.engine not in ("scalar", "columnar"):
-            raise BenchmarkError(
-                f"experiment {self.name}: engine must be 'scalar' or 'columnar'"
-            )
-        if self.shards <= 0:
-            raise BenchmarkError(f"experiment {self.name}: shards must be > 0")
-        if self.shard_executor not in ("serial", "processes"):
-            raise BenchmarkError(
-                f"experiment {self.name}: shard_executor must be 'serial' "
-                "or 'processes'"
-            )
-        if self.shard_policy not in ("hash", "affinity"):
-            raise BenchmarkError(
-                f"experiment {self.name}: shard_policy must be 'hash' or 'affinity'"
-            )
-        if self.wal_group_commit <= 0:
-            raise BenchmarkError(
-                f"experiment {self.name}: wal_group_commit must be > 0"
             )
         if self.churn_burst < 0:
             raise BenchmarkError(

@@ -8,7 +8,7 @@ common:
   historical ``queries`` dict surface survives as a read-only facade),
 * the per-query :class:`~repro.core.results.TopKResult` store,
 * the exponential decay model and its renormalization,
-* work counters and per-event response times,
+* work counters (one cumulative processing timer, no per-event samples),
 * threshold-change propagation to whatever per-term structures a concrete
   algorithm maintains.
 """
@@ -70,13 +70,6 @@ class StreamAlgorithm(abc.ABC):
         #: materialized Query``).  Lookups build transient ``Query`` objects;
         #: no per-query object is retained.
         self.queries: RegisteredQueries = RegisteredQueries(self.store)
-        #: Per-event processing seconds.  Events ingested via
-        #: :meth:`process_batch` contribute their batch's *mean* — correct
-        #: for averages but not for tail percentiles; use
-        #: :attr:`batch_response_times` for honest batch-level latency.
-        self.response_times: List[float] = []
-        #: One ``(batch_size, elapsed_seconds)`` pair per processed batch.
-        self.batch_response_times: List[tuple] = []
         #: Lap recorder: the shared no-op unless an owner (monitor, shard)
         #: attaches a real :class:`~repro.obs.telemetry.Telemetry` — the
         #: per-event cost when disabled is one attribute read.
@@ -198,16 +191,8 @@ class StreamAlgorithm(abc.ABC):
 
         self.counters.documents += 1
         self.counters.elapsed_seconds += elapsed
-        self.response_times.append(elapsed)
         if self.telemetry.enabled:
             self.telemetry.observe("engine.event", elapsed)
-        return updates
-
-    def process_all(self, documents: Iterable[Document]) -> List[ResultUpdate]:
-        """Process several stream events through the per-event path."""
-        updates: List[ResultUpdate] = []
-        for document in documents:
-            updates.extend(self.process(document))
         return updates
 
     def process_batch(self, documents: Sequence[Document]) -> List[BatchUpdate]:
@@ -256,12 +241,6 @@ class StreamAlgorithm(abc.ABC):
 
         self.counters.documents += len(docs)
         self.counters.elapsed_seconds += elapsed
-        self.batch_response_times.append((len(docs), elapsed))
-        # Mean-preserving per-event attribution; tail percentiles over
-        # response_times are not meaningful for batched ingestion (every
-        # event of a batch gets the same value) — see batch_response_times.
-        per_event = elapsed / len(docs)
-        self.response_times.extend([per_event] * len(docs))
         if self.telemetry.enabled:
             self.telemetry.observe("engine.batch", elapsed)
         return coalesce_updates(updates)
@@ -363,9 +342,7 @@ class StreamAlgorithm(abc.ABC):
         A structural (in-memory) capture:
         :class:`~repro.queries.query.Query` objects are materialized from
         the packed store (so the capture stays valid however this engine
-        mutates afterwards), everything else is copied.  Timing samples
-        (``response_times``) are measurements, not state, and are not part
-        of it.
+        mutates afterwards), everything else is copied.
         """
         state: Dict[str, object] = {
             "algorithm": self.name,

@@ -318,16 +318,6 @@ class ContinuousMonitor(MonitorSurface):
         return self.algorithm.counters
 
     @property
-    def response_times(self) -> List[float]:
-        """Per-event processing time in seconds."""
-        return self.algorithm.response_times
-
-    @property
-    def batch_response_times(self) -> List[tuple]:
-        """One ``(batch_size, elapsed_seconds)`` pair per processed batch."""
-        return self.algorithm.batch_response_times
-
-    @property
     def telemetry(self) -> Telemetry:
         """The engine's lap recorder (the shared no-op when disabled)."""
         return self.algorithm.telemetry
@@ -359,10 +349,8 @@ class ContinuousMonitor(MonitorSurface):
         return self.algorithm.renormalize(new_origin)
 
     def reset_statistics(self) -> None:
-        """Zero the counters and timing samples (e.g. after a warm-up phase)."""
+        """Zero the counters and telemetry (e.g. after a warm-up phase)."""
         self.algorithm.counters.reset()
-        self.algorithm.response_times.clear()
-        self.algorithm.batch_response_times.clear()
         self.algorithm.telemetry.reset()
 
     def describe(self) -> Dict[str, object]:

@@ -229,10 +229,6 @@ class TopKResult:
             return True, evicted_doc, heap[0][0] != head
         return False, None, False
 
-    def would_accept(self, score: float) -> bool:
-        """True when ``offer`` with this score could change the result."""
-        return not self.full or score > self.threshold
-
     def remove(self, doc_id: DocId) -> bool:
         """Drop a document from the result (used by window expiration)."""
         if doc_id not in self._scores:

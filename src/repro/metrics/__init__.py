@@ -1,10 +1,10 @@
-"""Instrumentation: per-event counters and per-run aggregate statistics.
+"""Instrumentation: cumulative work counters.
 
 Latency *histograms* and pipeline stage timers live in :mod:`repro.obs`;
-this package holds the scalar work counters and the bench-run summaries.
+per-event response-time samples belong to whatever measures a run (the
+paper-figure harness keeps its own in :mod:`repro.bench.harness`).
 """
 
 from repro.metrics.counters import EventCounters, ServiceCounters
-from repro.metrics.runstats import RunStatistics, summarize_times
 
-__all__ = ["EventCounters", "RunStatistics", "ServiceCounters", "summarize_times"]
+__all__ = ["EventCounters", "ServiceCounters"]

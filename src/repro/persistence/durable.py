@@ -32,7 +32,6 @@ On-disk layout under ``DurabilityConfig.directory``::
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -220,11 +219,6 @@ class DurableMonitor(MonitorSurface):
         self._last_checkpoint_lsn = 0
         self._closed = False
         self._failed = False
-        #: Per-event journaling seconds, aligned with the *tail* of the
-        #: engine's own response_times (replayed events have no journal
-        #: cost); see :attr:`response_times`.
-        self._journal_times: List[float] = []
-        self._last_journal_seconds = 0.0
         if not _recovering:
             self._write_meta(meta_path)
             self._begin_journaling()
@@ -512,7 +506,6 @@ class DurableMonitor(MonitorSurface):
         the gap would make recovery reconstruct a different history.
         """
         kind, data = record
-        started = time.perf_counter()
         lsn = self._last_lsn + 1
         line = codec.pack_line(
             {"v": codec.CODEC_VERSION, "lsn": lsn, "kind": kind, "data": data}
@@ -523,7 +516,6 @@ class DurableMonitor(MonitorSurface):
             self._failed = True
             raise
         self._last_lsn = lsn
-        self._last_journal_seconds = time.perf_counter() - started
         return lsn
 
     def _journal(self, command: str, args: Sequence[object], shard: Optional[int] = None) -> int:
@@ -610,7 +602,6 @@ class DurableMonitor(MonitorSurface):
         self._ensure_usable()
         updates = self._apply_inner("process", document)
         self._journal("process", (document,))
-        self._journal_times.append(self._last_journal_seconds)
         self._after_events(1)
         return updates
 
@@ -621,10 +612,6 @@ class DurableMonitor(MonitorSurface):
         updates = self._apply_inner("process_batch", docs)
         if docs:
             self._journal("process_batch", (docs,))
-            # Mean-preserving per-event attribution, mirroring how the
-            # engine attributes batch processing time.
-            per_event = self._last_journal_seconds / len(docs)
-            self._journal_times.extend([per_event] * len(docs))
             self._after_events(len(docs))
         return updates
 
@@ -770,25 +757,8 @@ class DurableMonitor(MonitorSurface):
         """
         return self._inner.telemetry_snapshot()
 
-    @property
-    def response_times(self) -> List[float]:
-        """Per-event seconds *including* journaling.
-
-        The engine's own samples cover the processing work; the journaling
-        cost of events that went through this facade is added onto the tail
-        (events replayed by recovery carry engine time only — their journal
-        cost was paid before the crash).
-        """
-        samples = list(self._inner.response_times)
-        journal = self._journal_times[-len(samples) :] if samples else []
-        offset = len(samples) - len(journal)
-        for index, extra in enumerate(journal):
-            samples[offset + index] += extra
-        return samples
-
     def reset_statistics(self) -> None:
-        """Zero counters and timing samples (e.g. after a warm-up phase)."""
-        self._journal_times.clear()
+        """Zero counters and telemetry (e.g. after a warm-up phase)."""
         self._inner.reset_statistics()
 
     @property

@@ -137,12 +137,6 @@ COMMANDS: Dict[str, ShardCommand] = {
         to_wire=EventCounters.snapshot,
         from_wire=_restore_counters,
     ),
-    "response_times": ShardCommand("response_times", is_property=True, to_wire=list),
-    "batch_response_times": ShardCommand(
-        "batch_response_times",
-        is_property=True,
-        from_wire=lambda pairs: [(int(size), float(elapsed)) for size, elapsed in pairs],
-    ),
     "live_window_size": ShardCommand("live_window_size", is_property=True),
     "last_arrival": ShardCommand("last_arrival", is_property=True),
 }

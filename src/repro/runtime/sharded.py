@@ -240,27 +240,6 @@ class ShardedMonitor(MonitorSurface):
         merged.documents = self._documents_processed
         return merged
 
-    @property
-    def response_times(self) -> List[float]:
-        """Per-event engine seconds, summed across shards (total work per event)."""
-        per_shard = [shard.response_times for shard in self._shards]
-        return [sum(samples) for samples in zip(*per_shard)]
-
-    @property
-    def batch_response_times(self) -> List[tuple]:
-        """Per-batch ``(size, seconds)``, seconds summed across shards.
-
-        Every shard processes every batch, so the batch sequences align
-        index by index; summing the elapsed seconds reports the total
-        engine work per batch, the same convention as
-        :attr:`response_times`.
-        """
-        per_shard = [shard.batch_response_times for shard in self._shards]
-        return [
-            (samples[0][0], sum(elapsed for _, elapsed in samples))
-            for samples in zip(*per_shard)
-        ]
-
     def telemetry_snapshot(self) -> Dict[str, object]:
         """Lossless merge of every shard's telemetry (plus runtime gauges).
 
@@ -286,7 +265,7 @@ class ShardedMonitor(MonitorSurface):
         return merged.snapshot()
 
     def reset_statistics(self) -> None:
-        """Zero all counters and timing samples (e.g. after a warm-up phase)."""
+        """Zero all counters and telemetry (e.g. after a warm-up phase)."""
         for shard in self._shards:
             shard.reset_statistics()
         self._documents_processed = 0

@@ -201,6 +201,14 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"max_pending_documents must be > 0, got {self.max_pending_documents}"
             )
+        if self.write_buffer_limit is not None and self.write_buffer_limit < 0:
+            raise ConfigurationError(
+                f"write_buffer_limit must be >= 0 (or None), got {self.write_buffer_limit}"
+            )
+        if self.send_buffer_bytes is not None and self.send_buffer_bytes <= 0:
+            raise ConfigurationError(
+                f"send_buffer_bytes must be > 0 (or None), got {self.send_buffer_bytes}"
+            )
         if self.shutdown_timeout <= 0:
             raise ConfigurationError(
                 f"shutdown_timeout must be > 0, got {self.shutdown_timeout}"

@@ -128,27 +128,16 @@ class TestHarness:
             oracle.counters["result_updates"]
         )
 
-    def test_sharded_cell_matches_single_engine_work(self):
-        """shards=N cells process the same workload with the same outcome."""
-        single = run_cell(_micro_spec(), "mrio", 30)
-        sharded = run_cell(_micro_spec(shards=3), "mrio", 30)
-        assert sharded.extra["shards"] == 3.0
-        assert len(sharded.response_times) == len(single.response_times)
-        # Result admissions are partition-invariant; per-document counters
-        # are averaged over the same event count.
-        assert sharded.counters["result_updates"] == pytest.approx(
-            single.counters["result_updates"]
-        )
-
-    def test_sharded_cell_validates_spec(self):
-        with pytest.raises(BenchmarkError):
-            _micro_spec(shards=0)
-        with pytest.raises(BenchmarkError):
-            _micro_spec(shard_executor="fibers")
-        # "processes" is a first-class executor, not a validation error.
-        assert _micro_spec(shard_executor="processes").shard_executor == "processes"
-        with pytest.raises(BenchmarkError):
-            _micro_spec(shard_policy="afinity")
+    def test_response_times_are_the_engine_timer_per_measured_event(self):
+        """The harness times exactly what the engine's counter times: one
+        sample per measured event, summing to the segment's
+        ``elapsed_seconds`` (per-document mean times the event count)."""
+        spec = _micro_spec()
+        run = run_cell(spec, "mrio", 30)
+        assert len(run.response_times) == spec.num_events
+        assert all(sample > 0.0 for sample in run.response_times)
+        measured = run.counters["elapsed_seconds"] * spec.num_events
+        assert sum(run.response_times) == pytest.approx(measured, rel=1e-9)
 
     def test_reporting_tables(self):
         spec = _micro_spec()

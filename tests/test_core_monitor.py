@@ -127,7 +127,7 @@ class TestMonitorProcessing:
         stream = DocumentStream(small_corpus, StreamConfig(seed=3))
         monitor.process_stream(stream, limit=10)
         assert monitor.statistics.documents == 10
-        assert len(monitor.response_times) == 10
+        assert monitor.statistics.elapsed_seconds > 0.0
 
     def test_process_stream_with_limit_consumes_only_the_limit(self, small_corpus):
         """Two bounded calls on one iterator process consecutive documents:

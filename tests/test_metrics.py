@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from repro.bench.harness import RunStatistics, summarize_times
 from repro.metrics.counters import EventCounters, ServiceCounters
-from repro.metrics.runstats import RunStatistics, summarize_times
 
 
 class TestEventCounters:
@@ -194,19 +194,6 @@ class TestRunStatistics:
         assert summary["algorithm"] == "mrio"
         assert summary["counter_full_evaluations"] == 5.0
         assert summary["note"] == 1.0
-
-    def test_batch_response_times_surface_in_summary(self):
-        run = RunStatistics(
-            algorithm="mrio",
-            num_queries=10,
-            num_events=64,
-            batch_response_times=[(32, 0.002), (32, 0.004)],
-        )
-        summary = run.summary()
-        assert summary["batch_count"] == 2
-        assert summary["batch_mean_ms"] == pytest.approx(3.0)
-        assert summary["batch_max_ms"] == pytest.approx(4.0)
-        assert summary["batch_mean_size"] == pytest.approx(32.0)
 
     def test_summary_without_batches_has_no_batch_keys(self):
         summary = RunStatistics("mrio", 1, 1, response_times=[0.001]).summary()

@@ -412,3 +412,11 @@ class TestConfigValidation:
             ServiceConfig(arrival_interval=0.0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(linger_yields=-1)
+        # asyncio rejects these only once a client connects, killing every
+        # connection before ``hello``.
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(write_buffer_limit=-1)
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(send_buffer_bytes=0)
+        # None keeps meaning "OS default".
+        ServiceConfig(write_buffer_limit=None, send_buffer_bytes=None)
