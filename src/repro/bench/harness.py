@@ -88,6 +88,7 @@ class RunStatistics:
         result.update(self.extra)
         return result
 
+
 @dataclass
 class ExperimentResult:
     """All cells of one experiment, in execution order."""

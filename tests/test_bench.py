@@ -128,16 +128,39 @@ class TestHarness:
             oracle.counters["result_updates"]
         )
 
-    def test_response_times_are_the_engine_timer_per_measured_event(self):
+    @pytest.mark.parametrize("algorithm", FIGURE1_ALGORITHMS)
+    def test_response_times_are_the_engine_timer_per_measured_event(self, algorithm):
         """The harness times exactly what the engine's counter times: one
         sample per measured event, summing to the segment's
         ``elapsed_seconds`` (per-document mean times the event count)."""
         spec = _micro_spec()
-        run = run_cell(spec, "mrio", 30)
+        run = run_cell(spec, algorithm, 30)
         assert len(run.response_times) == spec.num_events
         assert all(sample > 0.0 for sample in run.response_times)
         measured = run.counters["elapsed_seconds"] * spec.num_events
         assert sum(run.response_times) == pytest.approx(measured, rel=1e-9)
+
+    def test_churn_cell_times_every_event_and_reports_its_burst(self):
+        """A flash-crowd cell joins and leaves mid-segment; registration work
+        is not timed, so the samples still cover exactly the events."""
+        spec = _micro_spec(num_events=8, churn_burst=6)
+        run = run_cell(spec, "mrio", 30)
+        assert run.extra == {"churn_burst": 6.0, "churn_ops": 12.0}
+        assert len(run.response_times) == spec.num_events
+        measured = run.counters["elapsed_seconds"] * spec.num_events
+        assert sum(run.response_times) == pytest.approx(measured, rel=1e-9)
+        assert "churn_burst" not in run_cell(_micro_spec(), "mrio", 30).extra
+
+    def test_churn_fields_are_validated(self):
+        with pytest.raises(BenchmarkError):
+            _micro_spec(churn_burst=-1)
+        with pytest.raises(BenchmarkError):
+            _micro_spec(churn_join_fraction=1.5)
+        with pytest.raises(BenchmarkError):
+            _micro_spec(churn_join_fraction=0.5, churn_leave_fraction=0.25)
+        # Joining and leaving at the same event is a zero-length crowd.
+        spec = _micro_spec(churn_join_fraction=0.5, churn_leave_fraction=0.5)
+        assert spec.churn_leave_fraction == 0.5
 
     def test_reporting_tables(self):
         spec = _micro_spec()
