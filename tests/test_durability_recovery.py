@@ -24,6 +24,7 @@ from repro.exceptions import PersistenceError, RecoveryError
 from repro.persistence.durable import DurabilityConfig, DurableMonitor
 from repro.runtime.sharded import ShardedMonitor
 from tests.data import make_durable_fixture as fixture
+from tests.helpers import make_document, make_query
 
 #: Every registered algorithm (MRIO under all three zone-bound variants).
 ALGORITHM_CONFIGS = [
@@ -302,6 +303,77 @@ class TestOnDiskCompatibility:
                 with open(os.path.join(committed, relative), "rb") as want:
                     with open(os.path.join(str(tmp_path), relative), "rb") as got:
                         assert got.read() == want.read(), relative
+
+
+def _checkpoint_names(root, n_shards):
+    """The checkpoint file names, asserted identical on every host."""
+    hosts = [root] if n_shards == 1 else [
+        os.path.join(root, f"shard-{index:04d}") for index in range(n_shards)
+    ]
+    names = [sorted(os.listdir(os.path.join(host, "checkpoints"))) for host in hosts]
+    assert all(host_names == names[0] for host_names in names)
+    return names[0]
+
+
+class TestCheckpointKinds:
+    """A decay rebase makes the next checkpoint full, and the one after it is
+    incremental again.  Only the kind of file changes: recovery is exact."""
+
+    CONFIGS = {
+        # exp(0.5 * 6) > 20: the event at t=6 rebases the origin to 6.
+        "implicit": MonitorConfig(algorithm="mrio", lam=0.5, max_amplification=20.0),
+        "explicit": MonitorConfig(algorithm="mrio", lam=0.5),
+    }
+
+    @pytest.mark.parametrize("rebase", ["implicit", "explicit"])
+    @pytest.mark.parametrize(
+        "n_shards, executor",
+        [(1, "serial"), (2, "serial"), (2, "processes")],
+        ids=["single", "serial2", "processes2"],
+    )
+    def test_rebase_writes_one_full_checkpoint(self, tmp_path, rebase, n_shards, executor):
+        config = self.CONFIGS[rebase]
+        queries = [make_query(q, {q % 5: 1.0, (q + 2) % 5: 0.5}, 2) for q in range(8)]
+        docs = {t: make_document(t, {t % 5: 1.0, (t + 1) % 5: 0.7}, float(t)) for t in range(1, 11)}
+        rebase_steps = [("process", docs[6])]
+        if rebase == "explicit":
+            rebase_steps.insert(0, ("renormalize", 5.0))
+        steps = (
+            [("register_query", query) for query in queries]
+            + [("process_batch", [docs[1], docs[2], docs[3]]), ("checkpoint", None)]
+            + [("process", docs[4]), ("process", docs[5]), ("checkpoint", None)]
+            + rebase_steps + [("checkpoint", None)]
+            + [("process_batch", [docs[7], docs[8]]), ("checkpoint", None)]
+            + [("process_batch", [docs[9], docs[10]])]
+        )
+        durability = DurabilityConfig(str(tmp_path), group_commit=1, checkpoint_interval=None)
+        monitor = DurableMonitor(durability, config, n_shards=n_shards, executor=executor)
+        reference = _reference(config, n_shards, queries, [], 0)
+        lsns = []
+        for method, argument in steps:
+            if method == "checkpoint":
+                lsns.append(monitor.checkpoint())
+                continue
+            getattr(monitor, method)(argument)
+            if method != "register_query":
+                getattr(reference, method)(argument)
+        monitor.close()
+
+        hosts = reference.shards if n_shards > 1 else [reference]
+        assert [host.algorithm.decay.origin for host in hosts] == [
+            6.0 if rebase == "implicit" else 5.0
+        ] * n_shards
+        assert _checkpoint_names(str(tmp_path), n_shards) == [
+            f"ckpt-{lsn:020d}-{kind}.json"
+            for lsn, kind in zip(lsns, ("full", "incr", "full", "incr"))
+        ]
+        recovered, report = DurableMonitor.recover(durability, executor=executor)
+        try:
+            assert report.checkpoint_lsn == lsns[-1]
+            _assert_recovered_equals(recovered, reference, queries)
+        finally:
+            recovered.close()
+            reference.close()
 
 
 class TestCrashWindows:
