@@ -166,7 +166,10 @@ def replay_record(target, record: WalRecord, shard_id: Optional[int] = None) -> 
     """
     kind, data = record.kind, record.data
     if kind == codec.KIND_DOCUMENT:
-        return target.process(codec.decode_document(data["doc"]))
+        document = codec.decode_document(data["doc"])
+        # On a worker handle ``process`` is the OS process: go by command name.
+        call = getattr(target, "call", None)
+        return target.process(document) if call is None else call("process", document)
     if kind == codec.KIND_BATCH:
         return target.process_batch([codec.decode_document(doc) for doc in data["docs"]])
     if kind == codec.KIND_REGISTER:

@@ -329,6 +329,28 @@ class TestDurableProcessRecovery:
         finally:
             recovered.close()
 
+    def test_per_event_records_replay_onto_worker_shards(
+        self, tmp_path, small_queries, small_documents
+    ):
+        """A journaled per-event ``process`` replays by command name: on a
+        worker handle the attribute ``process`` is the worker's OS process."""
+        config = MonitorConfig(algorithm="mrio", lam=LAM)
+        durability = DurabilityConfig(
+            directory=str(tmp_path / "state"), group_commit=1, checkpoint_interval=None
+        )
+        monitor = DurableMonitor(durability, config, n_shards=2, executor="processes")
+        monitor.register_queries(small_queries)
+        for document in small_documents[:6]:
+            monitor.process(document)
+        expected = monitor.all_results()
+        monitor.close()
+        recovered, report = DurableMonitor.recover(durability, executor="processes")
+        try:
+            assert report.replayed_documents == 6
+            assert recovered.all_results() == expected
+        finally:
+            recovered.close()
+
 
 class TestSharedMemoryTransport:
     """Ring-transport specifics: chunking, fallback, accounting, recovery."""
