@@ -90,7 +90,6 @@ class ShardHost:
         self.options = options or HostOptions()
         self._shard = ContinuousMonitor(config)
         self._shard.shard_id = shard_id
-        self._shard.capture_renorms = True
         # One lock serializes shard + WAL access across control connections,
         # the replication receive loop and promotion.
         self._lock = threading.RLock()
@@ -368,12 +367,7 @@ class ShardHost:
             raise WorkerError(
                 f"shard host {self.shard_id} has no WAL; nothing to promote"
             )
-        if not self._primary:
-            self._primary = True
-            # Rebases buffered while *applying* replicated records belong to
-            # replies the dead primary already delivered (or never will);
-            # flushing them into the next reply would double-notify.
-            self._shard.drain_renormalizations()
+        self._primary = True
         self._wal.flush()
         return self._applier.applied_lsn if self._applier else self._wal.last_lsn
 
@@ -459,8 +453,5 @@ class ShardHost:
                     # this socket is redone by the router at the same LSNs.
                     return
                 self._applier.apply_line(bytes(tail))
-                # A standby has no reply to carry rebase buffers away;
-                # discard them so replication cannot grow memory unboundedly.
-                self._shard.drain_renormalizations()
                 applied = self._applier.applied_lsn
             frame_socket.send_bytes(codec.pack_frame({"k": "ack", "l": applied}))

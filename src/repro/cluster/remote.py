@@ -131,7 +131,6 @@ class RemoteShardHandle(ProcessShardHandle):
         self._primary_client = primary
         self._standbys: List[HostClient] = list(standbys)
         self._stats = stats if stats is not None else TransportStats()
-        self._renormalize_listeners: List[object] = []
         self._journaling = journaling
         self._repl_options = repl_options
         self._pending: Optional[_Pending] = None
@@ -227,9 +226,7 @@ class RemoteShardHandle(ProcessShardHandle):
         self._after_reply(pending, header)
         return value
 
-    def _collect_reply(
-        self, client: HostClient, dispatch_events: bool = True
-    ) -> Tuple[object, Dict[str, object]]:
+    def _collect_reply(self, client: HostClient) -> Tuple[object, Dict[str, object]]:
         """One reply off ``client``; shard errors re-raise as themselves,
         connection death raises :class:`_TransportDead`."""
         try:
@@ -241,18 +238,12 @@ class RemoteShardHandle(ProcessShardHandle):
         self._stats.reply_bytes += len(data)
         try:
             header, tail = codec.unpack_frame(data)
-            events = header.get("e") or {}
-            renorms = events.get("n", ())
             status = header["s"]
             value = codec.decode_value(header.get("v"), tail)
         except Exception as exc:  # noqa: BLE001 - the stream can't be trusted
             raise _TransportDead(
                 f"shard host {self.shard_id} sent an undecodable reply"
             ) from exc
-        if dispatch_events:
-            for origin, factor in renorms:
-                for listener in self._renormalize_listeners:
-                    listener(origin, factor)
         if status == ERR:
             if isinstance(value, BaseException):
                 raise value
@@ -268,7 +259,7 @@ class RemoteShardHandle(ProcessShardHandle):
             raise _TransportDead(
                 f"shard host {self.shard_id} is gone (send failed)"
             ) from exc
-        value, _ = self._collect_reply(client, dispatch_events=False)
+        value, _ = self._collect_reply(client)
         return value
 
     def _after_reply(self, pending: _Pending, header: Dict[str, object]) -> None:
@@ -361,12 +352,7 @@ class RemoteShardHandle(ProcessShardHandle):
                 raise _TransportDead(
                     f"shard host {self.shard_id} redo send failed"
                 ) from exc
-            # Only the in-flight command's events reach the listeners: the
-            # other redo entries were already collected (and their events
-            # dispatched) against the dead primary.
-            redo_value, header = self._collect_reply(
-                client, dispatch_events=is_pending
-            )
+            redo_value, header = self._collect_reply(client)
             if header.get("l") != lsn:
                 raise WorkerError(
                     f"shard host {self.shard_id} redo journaled at lsn "

@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 import math
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.results import (
     BatchUpdate,
@@ -35,9 +35,6 @@ from repro.obs.telemetry import NULL_TELEMETRY
 from repro.queries.query import Query
 from repro.queries.store import QueryStore, RegisteredQueries
 from repro.types import DocId, QueryId
-
-#: Callback invoked after a decay rebase with ``(new_origin, factor)``.
-RenormalizeListener = Callable[[float, float], None]
 
 
 class StreamAlgorithm(abc.ABC):
@@ -74,7 +71,6 @@ class StreamAlgorithm(abc.ABC):
         #: attaches a real :class:`~repro.obs.telemetry.Telemetry` — the
         #: per-event cost when disabled is one attribute read.
         self.telemetry = NULL_TELEMETRY
-        self._renormalize_listeners: List[RenormalizeListener] = []
         self._last_arrival: Optional[float] = None
         #: Non-None while a batch is being processed: query ids whose
         #: threshold changed and whose structure refresh is deferred to the
@@ -311,16 +307,6 @@ class StreamAlgorithm(abc.ABC):
     def threshold(self, query_id: QueryId) -> float:
         return self.results.threshold(query_id)
 
-    def add_renormalize_listener(self, listener: RenormalizeListener) -> None:
-        """Register a callback invoked after every decay rebase.
-
-        A renormalization rescales every stored score, which is exactly the
-        worst case for delta-based consumers of the engine state — the
-        durability layer, for example, listens here to promote its next
-        incremental checkpoint to a full one.
-        """
-        self._renormalize_listeners.append(listener)
-
     def renormalize(self, new_origin: float) -> float:
         """Rebase the decay origin; divides every stored score by the factor."""
         factor = self.decay.rebase(new_origin)
@@ -328,8 +314,6 @@ class StreamAlgorithm(abc.ABC):
             self.results.scale_all(factor)
             self.store.scale_thresholds(factor)
             self._on_renormalize(factor)
-            for listener in self._renormalize_listeners:
-                listener(new_origin, factor)
         return factor
 
     # ------------------------------------------------------------------ #

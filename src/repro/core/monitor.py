@@ -28,9 +28,9 @@ High-throughput ingestion goes through the batch fast path instead::
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.core.base import RenormalizeListener, StreamAlgorithm
+from repro.core.base import StreamAlgorithm
 from repro.core.config import MonitorConfig
 from repro.core.expiration import ExpirationManager
 from repro.core.factory import create_algorithm
@@ -186,11 +186,6 @@ class ContinuousMonitor(MonitorSurface):
         self._expiration: Optional[ExpirationManager] = None
         if self.config.window_horizon is not None:
             self._expiration = ExpirationManager(self.algorithm, self.config.window_horizon)
-        # Rebase capture for a hosting facade or serving loop.  ``None`` =
-        # never switched on: the engine listener is attached on first use,
-        # so an uncaptured engine keeps an empty listener list.
-        self._capture_renorms: Optional[bool] = None
-        self._renorm_buffer: List[Tuple[float, float]] = []
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -282,37 +277,6 @@ class ContinuousMonitor(MonitorSurface):
             for query_id in self.algorithm.queries
         }
 
-    def add_renormalize_listener(self, listener: RenormalizeListener) -> None:
-        """Register a callback invoked after every decay rebase (on the
-        host surface so process-resident shards can forward rebases).
-        """
-        self.algorithm.add_renormalize_listener(listener)
-
-    @property
-    def capture_renorms(self) -> bool:
-        """When True, decay rebase notifications are buffered for draining —
-        the serving loops ship them with each framed reply.
-        """
-        return bool(self._capture_renorms)
-
-    @capture_renorms.setter
-    def capture_renorms(self, enabled: bool) -> None:
-        if self._capture_renorms is None:
-            if not enabled:
-                return  # never switched on: no listener to silence
-            self.algorithm.add_renormalize_listener(self._on_renormalize)
-        self._capture_renorms = enabled
-
-    def _on_renormalize(self, origin: float, factor: float) -> None:
-        if self._capture_renorms:
-            self._renorm_buffer.append((origin, factor))
-
-    def drain_renormalizations(self) -> List[Tuple[float, float]]:
-        """The (origin, factor) rebases buffered since the last drain."""
-        drained = self._renorm_buffer
-        self._renorm_buffer = []
-        return drained
-
     @property
     def statistics(self) -> EventCounters:
         return self.algorithm.counters
@@ -359,15 +323,6 @@ class ContinuousMonitor(MonitorSurface):
         if self.shard_id is not None:
             info["shard_id"] = self.shard_id
         return info
-
-    def facade_state(self) -> Dict[str, object]:
-        """What a durable sidecar records beside the hosts' checkpoints.  A
-        lone host's event count lives in its engine: nothing.
-        """
-        return {"documents_processed": 0}
-
-    def adopt_facade_state(self, state: Dict[str, object], replayed_documents: int) -> None:
-        """Reinstate a recovered :meth:`facade_state` (nothing to do here)."""
 
     # ------------------------------------------------------------------ #
     # Snapshot / restore, and the codec-encoded state movers

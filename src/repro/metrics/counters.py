@@ -10,9 +10,9 @@ Counters are *mergeable*: a sharded runtime keeps one instance per engine
 shard and aggregates them losslessly with :meth:`EventCounters.merge` (or
 ``+=``).  Every field is a pure per-instance sum, so merging shard counters
 reconstructs exactly the totals a single engine would have counted — except
-``documents``, which each shard counts for every event it sees; a facade
-aggregating shards must take the stream's event count from the routing
-layer instead of summing it (see ``repro.runtime.sharded``).
+``documents``: every shard counts every event, so a facade aggregating
+shards takes the stream's event count from any one shard instead of summing
+it (see ``repro.runtime.sharded``).
 """
 
 from __future__ import annotations

@@ -142,10 +142,12 @@ class CheckpointManager:
     def write(self, encoded_state: Dict[str, object], lsn: int, full: bool) -> str:
         """Persist one checkpoint; returns the file name written.
 
-        The first checkpoint is always written full regardless of ``full``
-        (an incremental needs a base).
+        Written full regardless of ``full`` when there is no diff base (the
+        first checkpoint) or the decay origin moved since it: a rebase
+        rescales every stored score, so a delta would be a full copy in
+        disguise.
         """
-        if self._last_state is None:
+        if self._last_state is None or self._last_state["decay"] != encoded_state["decay"]:
             full = True
         if full:
             payload: Dict[str, object] = {

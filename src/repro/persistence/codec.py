@@ -681,17 +681,6 @@ def decode_value(encoded: object, tail: memoryview = _EMPTY_TAIL) -> object:
 # ring slot is caught before any document reaches an engine.
 
 _DOC_NEW = Document.__new__
-_DOC_SET = object.__setattr__
-
-
-def _trusted_document(doc_id, vector, arrival_time, text) -> Document:
-    """Rebuild a document without re-validating it (CRC already vouches)."""
-    doc = _DOC_NEW(Document)
-    _DOC_SET(doc, "doc_id", doc_id)
-    _DOC_SET(doc, "vector", vector)
-    _DOC_SET(doc, "arrival_time", arrival_time)
-    _DOC_SET(doc, "text", text)
-    return doc
 
 
 def encode_document_batch(documents: Sequence[Document]) -> bytes:

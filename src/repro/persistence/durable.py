@@ -18,12 +18,12 @@ encoded checkpoint (``restore_encoded`` — decoded once, where the host
 lives), replays its WAL tail and clamps all hosts to the shortest durable
 prefix, so a crash mid-fan-out can never leave shards at different positions.
 A tiny facade sidecar — written atomically after each checkpoint round — is
-the round's commit marker and carries the facade-level statistics.
+the round's commit marker and carries the facade's query-id counter.
 
 On-disk layout under ``DurabilityConfig.directory``::
 
     meta.json            # immutable identity: mode, shards, engine config
-    facade.json          # checkpoint commit marker + facade statistics
+    facade.json          # checkpoint commit marker + next query id
     wal/                 # single-monitor WAL segments
     checkpoints/         # single-monitor checkpoints
     shard-0000/wal/ ...  # per-shard WAL + checkpoints (sharded mode)
@@ -93,9 +93,9 @@ class DurabilityConfig:
         :meth:`DurableMonitor.checkpoint` stays available).
     full_checkpoint_every:
         Every Nth checkpoint is written full; the others are incremental
-        deltas.  A decay renormalization promotes the next checkpoint to
-        full automatically (after a rescale *every* result heap differs, so
-        a delta would be a full copy in disguise).
+        deltas.  A checkpoint whose decay origin moved since the previous
+        one is written full whatever its turn (after a rescale *every*
+        result heap differs, so a delta would be a full copy in disguise).
     """
 
     directory: str
@@ -212,7 +212,6 @@ class DurableMonitor(MonitorSurface):
         self._last_lsn = 0
         self._events_since_checkpoint = 0
         self._checkpoints_taken = 0
-        self._force_full_checkpoint = False
         #: LSN the most recent committed checkpoint round covers (0 = none);
         #: ``close(checkpoint=True)`` skips its final round when the WAL has
         #: not advanced past this.
@@ -349,7 +348,8 @@ class DurableMonitor(MonitorSurface):
         # incremental chain.
         for manager in self._checkpoints:
             manager.purge_newer(sidecar_lsn)
-        self._inner.adopt_facade_state(sidecar, report.marker_documents)
+        if self._facade is not None:
+            self._facade.rebuild_router()
         # The floor from the replayed records covers ids of queries
         # registered and unregistered again after the sidecar (no host holds
         # them, and the replay targets hosts, not the facade); the sidecar
@@ -375,9 +375,6 @@ class DurableMonitor(MonitorSurface):
         calls this, so appends resume worker-side from the recovered LSN.
         """
         self._last_lsn = self._wals[0].last_lsn
-        # All hosts renormalize identically, so one listener suffices (on a
-        # handle it fires as the worker ships rebases back with its replies).
-        self._hosts[0].add_renormalize_listener(self._on_renormalize)
         if not self._executor.shard_resident:
             return
         for handle, wal in zip(self._hosts, self._wals):
@@ -426,13 +423,13 @@ class DurableMonitor(MonitorSurface):
     def _sidecar_path(self) -> str:
         return os.path.join(self.durability.directory, _SIDECAR_NAME)
 
-    def _write_sidecar(self, lsn: int) -> None:
+    def _write_sidecar(self, lsn: int, documents: int) -> None:
         sidecar = {
             "version": codec.CODEC_VERSION,
             "lsn": lsn,
             "next_query_id": self._inner.next_query_id,
-            **self._inner.facade_state(),
-            # Zero and unread; kept so the bytes stay as older code reads them.
+            # Both unread; kept so the bytes stay as older code reads them.
+            "documents_processed": documents,
             "retired_counters": EventCounters().snapshot(),
         }
         atomic_write(
@@ -446,7 +443,7 @@ class DurableMonitor(MonitorSurface):
                 sidecar = codec.unpack_line(handle.read())
         except FileNotFoundError:
             # No round ever committed: the facade state of a fresh monitor.
-            return {"lsn": 0, "next_query_id": 0, **self._inner.facade_state()}
+            return {"lsn": 0, "next_query_id": 0}
         except CorruptRecordError as exc:
             raise RecoveryError(f"facade sidecar is corrupt: {exc}") from exc
         if not isinstance(sidecar, dict):
@@ -458,16 +455,13 @@ class DurableMonitor(MonitorSurface):
             )
         return sidecar
 
-    def _on_renormalize(self, new_origin: float, factor: float) -> None:
-        # A rescale touches every stored score; an incremental checkpoint
-        # after it would be a full copy in disguise, so promote the next one.
-        self._force_full_checkpoint = True
-
     # ------------------------------------------------------------------ #
     # Journaling
     # ------------------------------------------------------------------ #
 
     def _ensure_usable(self) -> None:
+        if self._closed:
+            raise PersistenceError("durable monitor is closed")
         if self._failed:
             raise PersistenceError(
                 "durable monitor is failed: journaling raised after the "
@@ -651,16 +645,14 @@ class DurableMonitor(MonitorSurface):
 
         Returns the LSN the checkpoint covers.  ``full`` forces the kind;
         by default every ``full_checkpoint_every``-th checkpoint is full
-        and the rest are incremental (a renormalization since the last
-        checkpoint also forces full).  The WAL prefix a successful
+        and the rest are incremental.  Either way a checkpoint is written
+        full when the decay origin moved since the previous one
+        (:meth:`CheckpointManager.write`).  The WAL prefix a successful
         checkpoint round covers is rotated and compacted away.
         """
         self._ensure_usable()
         if full is None:
-            full = (
-                self._force_full_checkpoint
-                or self._checkpoints_taken % self.durability.full_checkpoint_every == 0
-            )
+            full = self._checkpoints_taken % self.durability.full_checkpoint_every == 0
         # The WAL must be durable through the captured state's position
         # before the checkpoint claims to cover it.
         if self.durability.fsync:
@@ -677,15 +669,17 @@ class DurableMonitor(MonitorSurface):
         for manager, encoded in zip(self._checkpoints, encoded_states):
             manager.write(encoded, lsn, full)  # type: ignore[arg-type]
         # The sidecar is the commit marker of the whole round: recovery
-        # ignores newer per-shard checkpoints until it exists.
-        self._write_sidecar(lsn)
+        # ignores newer per-shard checkpoints until it exists.  A sharded
+        # sidecar records shard 0's event count (every shard counts every
+        # event); a lone monitor's records 0.
+        counters: Dict[str, int] = encoded_states[0]["counters"]  # type: ignore[index]
+        self._write_sidecar(lsn, 0 if self._facade is None else counters["documents"])
         self._on_wals("wal_rotate")
         self._on_wals("wal_compact", lsn)
         for manager in self._checkpoints:
             manager.prune()
         self._events_since_checkpoint = 0
         self._checkpoints_taken += 1
-        self._force_full_checkpoint = False
         self._last_checkpoint_lsn = lsn
         return lsn
 
@@ -695,7 +689,8 @@ class DurableMonitor(MonitorSurface):
         ``checkpoint=True`` takes one final checkpoint round before closing
         (skipped when the monitor is failed or has journaled nothing since
         the last round) — a graceful shutdown then restarts from a
-        checkpoint instead of replaying the whole WAL tail.  Idempotent.
+        checkpoint instead of replaying the whole WAL tail.  Idempotent;
+        every later state-changing call raises :class:`PersistenceError`.
         """
         if self._closed:
             return

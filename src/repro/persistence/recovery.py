@@ -47,12 +47,6 @@ class RecoveryReport:
     replayed_records: int = 0
     #: Stream events (documents) among the replayed records.
     replayed_documents: int = 0
-    #: The facade-level facts of the same pass.  Stream events journaled
-    #: past the commit marker (``ckpt_max_lsn``): the sharded facade rolls
-    #: its global event count forward from the sidecar by these — not by
-    #: ``replayed_documents``, which is larger when a host had to fall back
-    #: to a checkpoint older than the marker.
-    marker_documents: int = 0
     #: One past the highest query id registered among the replayed records:
     #: ids registered and unregistered again after the sidecar was written
     #: must not be reissued even though no recovered host holds them.
@@ -74,9 +68,6 @@ class RecoveryReport:
         self.replayed_records += shard_report.replayed_records
         self.replayed_documents = max(
             self.replayed_documents, shard_report.replayed_documents
-        )
-        self.marker_documents = max(
-            self.marker_documents, shard_report.marker_documents
         )
         self.next_query_id_floor = max(
             self.next_query_id_floor, shard_report.next_query_id_floor
@@ -149,10 +140,7 @@ def recover_engine(
                 "that never existed)"
             )
         replay_record(target, record, shard_id=shard_id)
-        documents = documents_in(record)
-        report.replayed_documents += documents
-        if record.lsn > (ckpt_max_lsn or 0):
-            report.marker_documents += documents
+        report.replayed_documents += documents_in(record)
         if record.kind == codec.KIND_REGISTER:
             report.next_query_id_floor = max(
                 report.next_query_id_floor, int(record.data["query"]["i"]) + 1

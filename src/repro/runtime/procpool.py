@@ -211,7 +211,6 @@ def _shard_worker_main(conn, shard_id: int, config: MonitorConfig, ring_name=Non
 
     shard = ContinuousMonitor(config)
     shard.shard_id = shard_id
-    shard.capture_renorms = True
     ring = attach_ring_view(ring_name) if ring_name is not None else None
     label = f"shard worker {shard_id}"
     log = _WorkerLog(shard, label)
@@ -260,7 +259,6 @@ class ProcessShardHandle:
         self.process = process
         self._conn = conn
         self._stats = stats if stats is not None else TransportStats()
-        self._renormalize_listeners: List[Callable[[float, float], None]] = []
 
     # ------------------------------------------------------------------ #
     # Protocol plumbing
@@ -290,7 +288,7 @@ class ProcessShardHandle:
         self.submit_frame(command, self._pack(command, args))
 
     def collect(self) -> object:
-        """Receive one reply; unpack events; raise what the worker raised."""
+        """Receive one reply; raise what the worker raised."""
         try:
             data = self._conn.recv_bytes()
         except (EOFError, OSError) as exc:
@@ -300,14 +298,8 @@ class ProcessShardHandle:
         self._stats.reply_bytes += len(data)
         try:
             header, tail = codec.unpack_frame(data)
-            events = header.get("e") or {}
-            for origin, factor in events.get("n", ()):
-                for listener in self._renormalize_listeners:
-                    listener(origin, factor)
             status = header["s"]
             value = codec.decode_value(header.get("v"), tail)
-        except WorkerError:
-            raise
         except Exception as exc:
             raise WorkerError(
                 f"shard worker {self.shard_id} sent an undecodable reply"
@@ -355,16 +347,6 @@ class ProcessShardHandle:
         self._stats.events += len(documents)
         self.submit_frame("batch_commit", frame)
         return self.collect()  # type: ignore[return-value]
-
-    def add_renormalize_listener(self, listener: Callable[[float, float], None]) -> None:
-        """Listener fired parent-side as rebase notifications arrive.
-
-        The worker buffers every (origin, factor) rebase — explicit or
-        decay-triggered — and ships it with its next reply, preserving
-        order; listeners therefore run after the triggering call returns,
-        on the caller's thread.
-        """
-        self._renormalize_listeners.append(listener)
 
 
 class ResidentShardExecutor(ShardExecutor):

@@ -15,7 +15,7 @@ place that set is written down; everything else derives from it:
   journal through its ``record``; the router predicts LSNs from ``mutating``.
   **To add a command, add a row here** (and, if it journals a new record
   kind, a branch in :func:`replay_record`).
-* :class:`ShardServer` is the one decode → execute → drain-events →
+* :class:`ShardServer` is the one decode → execute →
   encode-reply-with-fallback routine.  The pipe worker loop and the socket
   host control loop differ only in transport, in the host's lock and in its
   apply-then-journal hook (``apply_mutation``).
@@ -24,8 +24,8 @@ place that set is written down; everything else derives from it:
   crash recovery, standby replication and the redo cache all go through it.
 
 Wire format: requests are codec frames ``{"c": command, "a": [args]}``;
-replies ``{"s": status, "v": value, "e": events}`` where ``events`` carries
-the decay rebases (``"n"``) buffered since the previous reply.  Document batches skip the
+replies ``{"s": status, "v": value}``, plus the cluster host's journal
+positions (``"l"``/``"rl"``) on mutating commands.  Document batches skip the
 generic argument path: ``batch_stage``/``batch_commit`` carry one packed
 batch frame as the tail or as a shared-memory ring slot descriptor
 (``"q"``/``"o"``/``"l"``).
@@ -60,7 +60,7 @@ class ShardCommand(NamedTuple):
 
     #: The :class:`ContinuousMonitor` attribute the wire name resolves to.
     attr: str
-    #: Read (or, with one argument, written) as a property, not called.
+    #: Read as a property, not called.
     is_property: bool = False
     #: Builds the WAL record of an *applied* call; ``None`` = read-only.
     record: Optional[RecordBuilder] = None
@@ -75,13 +75,10 @@ class ShardCommand(NamedTuple):
 
     def run(self, shard, args: Sequence[object]) -> object:
         """Execute against ``shard``; the value is in its wire shape."""
-        if not self.is_property:
-            value = getattr(shard, self.attr)(*args)
-        elif args:
-            setattr(shard, self.attr, *args)
-            value = None
-        else:
+        if self.is_property:
             value = getattr(shard, self.attr)
+        else:
+            value = getattr(shard, self.attr)(*args)
         return value if self.to_wire is None else self.to_wire(value)
 
 
@@ -210,7 +207,6 @@ class Outcome(NamedTuple):
     status: str
     value: object
     extra: Optional[Dict[str, object]]
-    renorms: List[Tuple[float, float]]
 
 
 class ShardServer:
@@ -240,7 +236,7 @@ class ShardServer:
         self._staged: List[Document] = []
 
     def execute(self, request: bytes) -> Outcome:
-        """Decode and run one request, then drain the shard's event buffers.
+        """Decode and run one request.
 
         Returns the outcome :meth:`reply` encodes.  Every error crosses
         back to the caller as the reply value; none escapes.
@@ -279,8 +275,7 @@ class ShardServer:
                     value = entry.run(self.shard, args)
         except Exception as exc:  # noqa: BLE001 - every shard error crosses back
             status, value = ERR, exc
-        renorms = self.shard.drain_renormalizations()
-        return Outcome(command, status, value, extra, renorms)
+        return Outcome(command, status, value, extra)
 
     def _run_extension(self, command: str, args: List[object]) -> object:
         if command == "ping":
@@ -299,7 +294,7 @@ class ShardServer:
         is replaced by a :class:`WorkerError` reply, so the caller is never
         left waiting on a request that was served.
         """
-        command, status, value, extra, renorms = outcome
+        command, status, value, extra = outcome
         for attempt in range(2):
             if attempt:
                 status = ERR
@@ -308,10 +303,7 @@ class ShardServer:
                 )
             tail = codec.TailWriter()
             try:
-                events: Dict[str, object] = {}
-                if renorms:
-                    events["n"] = [[origin, factor] for origin, factor in renorms]
-                header = {"s": status, "v": codec.encode_value(value, tail), "e": events}
+                header = {"s": status, "v": codec.encode_value(value, tail)}
                 if extra:
                     header.update(extra)
                 send(codec.pack_frame(header, tail.take()))

@@ -21,9 +21,8 @@ reconciliation:
   query id (stable, so each query's update sequence is preserved) — one
   deterministic order regardless of the executor;
 * per-shard :class:`~repro.metrics.counters.EventCounters` merge losslessly
-  (every field is a sum over disjoint work), except ``documents``, which
-  every shard counts per event it sees; the facade reports the stream's
-  true event count, tracked at the routing layer.
+  (every field is a sum over disjoint work), except ``documents``: every
+  shard counts every event, so shard 0's count is the stream's.
 
 Because scoring, decay and expiration are per-query (or pure functions of
 the arrival sequence), a query's results, scores and thresholds are
@@ -83,9 +82,6 @@ class ShardedMonitor(MonitorSurface):
         self._executor = make_executor(executor, n_shards)
         self._shards = self._spawn_shards(n_shards)
         self._router = QueryRouter(n_shards, make_policy(policy))
-        #: Stream events processed, tracked here because every shard counts
-        #: each event once (see the counters module docstring).
-        self._documents_processed = 0
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -171,7 +167,6 @@ class ShardedMonitor(MonitorSurface):
     def process(self, document) -> List[ResultUpdate]:
         """Process one stream event on every shard; merged updates, by query id."""
         per_shard = self._run_on_shards("process", document)
-        self._documents_processed += 1
         merged: List[ResultUpdate] = []
         for updates in per_shard:
             merged.extend(updates)
@@ -188,7 +183,6 @@ class ShardedMonitor(MonitorSurface):
         """
         docs = documents if isinstance(documents, list) else list(documents)
         per_shard = self._run_on_shards("process_batch", docs)
-        self._documents_processed += len(docs)
         merged: List[BatchUpdate] = []
         for updates in per_shard:
             merged.extend(updates)
@@ -202,10 +196,7 @@ class ShardedMonitor(MonitorSurface):
         function of the arrival sequence), so the rebase fans out to every
         shard and each computes the same factor.
         """
-        factor = 1.0
-        for shard in self._shards:
-            factor = shard.renormalize(new_origin)
-        return factor
+        return self._run_on_shards("renormalize", new_origin)[0]
 
     # ------------------------------------------------------------------ #
     # Results and diagnostics
@@ -232,12 +223,13 @@ class ShardedMonitor(MonitorSurface):
         """Lossless merge of per-shard counters, as one coherent view.
 
         Work counters sum across shards (disjoint work).  ``documents`` is
-        the stream's true event count — summing it across shards would
-        multiply it by the shard count, the one counter that is global to
-        the monitor rather than per-partition.
+        the stream's event count — summing it across shards would multiply
+        it by the shard count, since every shard counts every event; shard
+        0's count answers for the monitor.
         """
-        merged = EventCounters.aggregate(shard.statistics for shard in self._shards)
-        merged.documents = self._documents_processed
+        per_shard = [shard.statistics for shard in self._shards]
+        merged = EventCounters.aggregate(per_shard)
+        merged.documents = per_shard[0].documents
         return merged
 
     def telemetry_snapshot(self) -> Dict[str, object]:
@@ -268,7 +260,6 @@ class ShardedMonitor(MonitorSurface):
         """Zero all counters and telemetry (e.g. after a warm-up phase)."""
         for shard in self._shards:
             shard.reset_statistics()
-        self._documents_processed = 0
 
     @property
     def live_window_size(self) -> Optional[int]:
@@ -301,7 +292,7 @@ class ShardedMonitor(MonitorSurface):
             "transport": getattr(self._executor, "transport_active", None),
             "num_queries": self.num_queries,
             "shard_loads": self._router.loads(),
-            "documents_processed": self._documents_processed,
+            "documents_processed": self._shards[0].statistics.documents,
             "window_horizon": self.config.window_horizon,
             # Cluster facts (None unless the executor replicates shards).
             "replication": self.replication_summary,
@@ -334,26 +325,15 @@ class ShardedMonitor(MonitorSurface):
     # Crash-recovery adoption
     # ------------------------------------------------------------------ #
 
-    def facade_state(self) -> Dict[str, object]:
-        """The facade-level fact a durable sidecar records: the stream's
-        true event count (per-shard counters live in the engines and are
-        restored with them).
-        """
-        return {"documents_processed": self._documents_processed}
-
-    def adopt_facade_state(self, state: Dict[str, object], replayed_documents: int) -> None:
-        """Reinstate :meth:`facade_state` around freshly recovered shards.
+    def rebuild_router(self) -> None:
+        """Rebuild the router around freshly recovered shards.
 
         Crash recovery restores each shard from its own checkpoint + WAL
-        and then calls this: the event count rolls forward by the replayed
-        events, and the router is rebuilt from the shards' current query
-        sets.  The policy adopts each resident query, so stateful policies
-        (term affinity) accumulate exactly the placement state the original
-        registration sequence built — placement state is a per-shard sum,
-        independent of adoption order.
+        and then calls this.  The policy adopts each resident query, so
+        stateful policies (term affinity) accumulate exactly the placement
+        state the original registration sequence built — placement state is
+        a per-shard sum, independent of adoption order.
         """
-        documents = int(state["documents_processed"])  # type: ignore[call-overload]
-        self._documents_processed = documents + replayed_documents
         self._router = QueryRouter(self.n_shards, self._router.policy)
         for shard_id, shard in enumerate(self._shards):
             # Bind the dict once: for a process-resident shard the property

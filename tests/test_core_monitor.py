@@ -99,28 +99,6 @@ class TestMonitorProcessing:
         assert [e.doc_id for e in top] == [0]
         assert monitor.all_results()[query.query_id] == top
 
-    def test_capture_listeners_attach_on_first_use(self):
-        """An uncaptured engine keeps an empty rebase-listener list;
-        switching the capture on attaches its listener once."""
-        monitor = ContinuousMonitor(MonitorConfig(lam=0.1))
-        monitor.register_vector({1: 1.0}, k=2)
-        engine = monitor.algorithm
-        monitor.capture_renorms = False  # never switched on: nothing to silence
-        assert engine._renormalize_listeners == []
-        assert monitor.drain_renormalizations() == []
-
-        monitor.capture_renorms = True
-        monitor.process(make_document(0, {1: 1.0}, 1.0))
-        monitor.renormalize(1.0)
-        assert [origin for origin, _ in monitor.drain_renormalizations()] == [1.0]
-
-        monitor.capture_renorms = False
-        monitor.capture_renorms = True
-        assert len(engine._renormalize_listeners) == 1
-        monitor.capture_renorms = False
-        monitor.renormalize(2.0)
-        assert monitor.drain_renormalizations() == []
-
     def test_process_stream_with_limit(self, small_corpus):
         monitor = ContinuousMonitor()
         monitor.register_vector({1: 1.0, 2: 1.0})

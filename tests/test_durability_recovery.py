@@ -531,8 +531,8 @@ class TestCrashWindows:
         """A crash between a round's sidecar write and its WAL compaction
         leaves the previous round usable.  A shard whose newest checkpoint
         is then unreadable replays from the older one — more documents than
-        its sibling — while the facade's event count rolls forward from the
-        commit marker only (``RecoveryReport.marker_documents``)."""
+        its sibling — and still counts every event once, as the facade's
+        event count is shard 0's own."""
         config = MonitorConfig(algorithm="mrio", lam=LAM)
         durability = DurabilityConfig(
             directory=str(tmp_path), group_commit=1, checkpoint_interval=None
@@ -565,12 +565,11 @@ class TestCrashWindows:
 
         recovered, report = DurableMonitor.recover(durability)
         assert [shard.replayed_documents for shard in report.shards] == [8, 3]
-        assert report.marker_documents == 3
         reference = ShardedMonitor(config, n_shards=2)
         reference.register_queries(small_queries[:10])
         for batch in (small_documents[:4], small_documents[4:9], small_documents[9:12]):
             reference.process_batch(batch)
-        assert recovered.statistics.documents == 12
+        assert recovered.statistics.documents == reference.statistics.documents == 12
         _assert_recovered_equals(recovered, reference, small_queries[:10])
         recovered.close()
 
@@ -833,6 +832,49 @@ class TestFacadeBehaviour:
         recovered, _ = DurableMonitor.recover(durability)
         assert recovered.statistics.documents == 1
         recovered.close()
+
+    @pytest.mark.parametrize(
+        "call",
+        ["process", "process_batch", "register_query", "unregister", "renormalize",
+         "checkpoint", "flush"],
+    )
+    @pytest.mark.parametrize(
+        "n_shards, executor", [(1, "serial"), (2, "processes")], ids=["single", "processes2"]
+    )
+    def test_a_closed_monitor_refuses_every_write(
+        self, tmp_path, call, n_shards, executor, small_queries, small_documents
+    ):
+        """After close() every state-changing call raises without journaling
+        and without poisoning the monitor: recovery ends where close() did."""
+        config = MonitorConfig(algorithm="mrio", lam=LAM)
+        durability = DurabilityConfig(
+            directory=str(tmp_path), group_commit=1, checkpoint_interval=None
+        )
+        monitor = DurableMonitor(durability, config, n_shards=n_shards, executor=executor)
+        monitor.register_queries(small_queries[:5])
+        for document in small_documents[:3]:
+            monitor.process(document)
+        closed_at = monitor.last_lsn
+        monitor.close()
+        args = {
+            "process": (small_documents[3],),
+            "process_batch": (small_documents[3:6],),
+            "register_query": (small_queries[5],),
+            "unregister": (small_queries[0].query_id,),
+            "renormalize": (small_documents[2].arrival_time,),
+            "checkpoint": (),
+            "flush": (),
+        }[call]
+        with pytest.raises(PersistenceError, match="durable monitor is closed"):
+            getattr(monitor, call)(*args)
+        assert not monitor._failed
+        assert monitor.last_lsn == closed_at
+
+        recovered, report = DurableMonitor.recover(durability, executor=executor)
+        try:
+            assert report.recovered_lsn == closed_at
+        finally:
+            recovered.close()
 
     def test_sidecar_version_mismatch_is_rejected(
         self, tmp_path, small_queries, small_documents

@@ -279,6 +279,28 @@ class TestCheckpointManager:
         incr_size = os.path.getsize(os.path.join(str(tmp_path), names[1]))
         assert incr_size < full_size
 
+    @pytest.mark.parametrize("lam", [1e-3, 0.0], ids=["rescaling", "lambda-zero"])
+    def test_a_moved_decay_origin_is_written_full(self, tmp_path, lam):
+        """A rebase since the diff base makes an incremental request full
+        (with λ=0 the origin moves without rescaling: still full), and the
+        checkpoint after it is incremental again."""
+        manager = CheckpointManager(str(tmp_path))
+        algorithm = create_algorithm("rio", ExponentialDecay(lam=lam))
+        algorithm.register(make_query(0, {0: 1.0}, k=2))
+
+        def write(lsn):
+            algorithm.process(make_document(lsn, {0: 1.0}, float(lsn)))
+            return manager.write(codec.encode_monitor_state(algorithm.snapshot()), lsn, False)
+
+        assert write(1).endswith("-full.json")  # no diff base yet
+        assert write(2).endswith("-incr.json")
+        algorithm.renormalize(2.0)
+        assert write(3).endswith("-full.json")
+        assert write(4).endswith("-incr.json")
+        loaded = CheckpointManager(str(tmp_path)).load_latest()
+        assert loaded is not None and loaded[1] == 4
+        assert loaded[0]["decay"]["origin"] == 2.0
+
     def test_corrupt_latest_falls_back_to_previous(self, tmp_path):
         manager = CheckpointManager(str(tmp_path))
         state_a, algorithm = _engine_state()

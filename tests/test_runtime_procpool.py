@@ -6,8 +6,8 @@ runtime satisfies (``test_runtime_sharded.py``): for every algorithm,
 hosting the query set on 2 or 4 *worker-process* shards must produce
 byte-identical top-k results, scores, thresholds and coalesced updates as
 the serial in-process runtime — which is itself byte-identical to a single
-:class:`ContinuousMonitor`.  On top of that: listener forwarding across the
-process boundary, rebalancing between worker sets, the unified fan-out
+:class:`ContinuousMonitor`.  On top of that: decay rebases inside the
+workers, the unified fan-out
 failure contract, and crash recovery through :class:`DurableMonitor` when a
 worker is SIGKILLed mid-stream (per-shard WALs are written worker-side, so
 a killed worker loses exactly its unflushed commit group).
@@ -169,32 +169,24 @@ class TestProcessShardEquivalence:
             procs.close()
             serial.close()
 
-    def test_renormalization_forwards_across_the_pipe(
+    def test_renormalization_inside_workers_matches_serial(
         self, small_queries, small_documents
     ):
         # Aggressive max_amplification forces decay rebases inside the
-        # workers; the notifications must reach parent-side listeners (the
-        # durable facade uses them to promote its next checkpoint to full).
+        # workers; an explicit rebase then fans out as one command.
         config = MonitorConfig(
             algorithm="mrio", lam=0.5, max_amplification=100.0, ub_variant="tree"
         )
-        reference = MonitorConfig(
-            algorithm="mrio", lam=0.5, max_amplification=100.0, ub_variant="tree"
-        )
-        serial, _ = _run(reference, small_queries, small_documents, 2, "serial")
-        procs = ShardedMonitor(config, n_shards=2, executor="processes")
+        serial, _ = _run(config, small_queries, small_documents, 2, "serial")
+        procs, _ = _run(config, small_queries, small_documents, 2, "processes")
         try:
-            rebases = []
-            procs.shards[0].add_renormalize_listener(
-                lambda origin, factor: rebases.append((origin, factor))
-            )
-            procs.register_queries(small_queries)
-            for start in range(0, len(small_documents), BATCH):
-                procs.process_batch(small_documents[start : start + BATCH])
-            assert rebases, "no renormalization notification crossed the pipe"
-            assert serial.shards[0].algorithm.decay.origin == pytest.approx(
-                rebases[-1][0]
-            )
+            assert serial.shards[0].algorithm.decay.origin > 0.0, "no implicit rebase"
+            origin = small_documents[-1].arrival_time + 1.0
+            factor = serial.renormalize(origin)
+            assert factor != 1.0
+            assert procs.renormalize(origin) == factor
+            for shard, twin in zip(serial.shards, procs.shards):
+                assert twin.snapshot_encoded()["decay"] == shard.snapshot_encoded()["decay"]
             _assert_identical_state(serial, procs, small_queries)
         finally:
             procs.close()
