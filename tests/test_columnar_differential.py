@@ -401,3 +401,77 @@ class TestRandomizedDifferential:
         )
         for algorithm in (columnar, mrio):
             assert_threshold_column_matches_heaps(algorithm)
+
+
+class TestReturnedUpdatesOnTies:
+    """The *returned* notifications, not just the final state: ``process``
+    lists and ``process_batch`` lists must equal MRIO's item for item
+    (order, score bits, evicted ids) on a stream whose documents and
+    queries repeat a handful of weight vectors, so exact score ties land
+    on the top-k boundary all the time."""
+
+    @staticmethod
+    def _tie_queries():
+        return [
+            make_query(q, {q % 5: 1.0, 5 + (2 * q) % 7: 0.5}, (1, 3, 10)[q % 3])
+            for q in range(36)
+        ]
+
+    @staticmethod
+    def _tie_documents(lam):
+        # With decay, only documents sharing an arrival time tie; group them.
+        return [
+            make_document(
+                i,
+                {i % 5: 1.0, 5 + (3 * i) % 7: 0.5 + i % 2, 12 + i % 2: 0.25},
+                float(1 + (i // 4 if lam else i)),
+            )
+            for i in range(200)
+        ]
+
+    def _run(self, name, batch_size, lam):
+        queries = self._tie_queries()
+        documents = self._tie_documents(lam)
+        algorithm = create_algorithm(name, ExponentialDecay(lam=lam))
+        returned = []
+
+        def feed(docs):
+            if batch_size is None:
+                for document in docs:
+                    returned.append(algorithm.process(document))
+            else:
+                for start in range(0, len(docs), batch_size):
+                    returned.append(algorithm.process_batch(docs[start : start + batch_size]))
+
+        algorithm.register_all(queries[:24])
+        feed(documents[:70])
+        for query in queries[:24:5]:  # churn: free slots, then reuse them
+            algorithm.unregister(query.query_id)
+        algorithm.register_all(queries[24:])
+        feed(documents[70:130])
+        restored = create_algorithm(name, ExponentialDecay(lam=lam))
+        restored.restore(algorithm.snapshot())
+        algorithm = restored
+        feed(documents[130:])
+        return algorithm, returned
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-2], ids=["no-decay", "decay"])
+    @pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "multi-chunk"])
+    @pytest.mark.parametrize(
+        "batch_size", [None, 1, 8, 64], ids=["per-event", "batch1", "batch8", "batch64"]
+    )
+    def test_returned_updates_equal_mrio_on_ties(self, monkeypatch, batch_size, chunked, lam):
+        mrio, want = self._run("mrio", batch_size, lam)
+        if chunked:
+            # ~3 documents per probe chunk: a batch crosses chunk boundaries.
+            monkeypatch.setattr("repro.core.columnar.CELL_BUDGET", 3 * 36)
+        columnar, got = self._run("columnar", batch_size, lam)
+        assert len(got) == len(want)
+        for step, (got_step, want_step) in enumerate(zip(got, want)):
+            assert got_step == want_step, f"returned updates differ at call {step}"
+        assert sum(map(len, want)) > 0
+        assert columnar.counters.result_updates == mrio.counters.result_updates
+        assert columnar.results.snapshot() == mrio.results.snapshot()
+        live = [q for q in self._tie_queries() if q.query_id in mrio.queries]
+        _assert_bitwise_equal(columnar, mrio, live, label="ties")
+        assert_threshold_column_matches_heaps(columnar)
