@@ -7,7 +7,7 @@ methods at the largest query count of the active profile (both workloads) and
 prints the slowdown of every competitor relative to MRIO, together with the
 work-based equivalent (queries considered per event), which is the part of
 the claim a pure-Python reproduction can match faithfully (see
-EXPERIMENTS.md).
+docs/benchmarks.md).
 """
 
 from __future__ import annotations

@@ -72,9 +72,9 @@ class ExhaustiveAlgorithm(StreamAlgorithm):
     ) -> List[ResultUpdate]:
         # One traversal implementation: the per-event path is the batched
         # walk over a single document.
-        return self._process_batch_documents([document], [amplification])
+        return self._scan_documents([document], [amplification])
 
-    def _process_batch_documents(
+    def _scan_documents(
         self, documents: Sequence[Document], amplifications: Sequence[float]
     ) -> List[ResultUpdate]:
         """Scoring walk shared by both ingestion paths.

@@ -6,7 +6,9 @@ common:
 * the packed :class:`~repro.queries.store.QueryStore` of registered query
   definitions (shared by reference with the per-term index structures; the
   historical ``queries`` dict surface survives as a read-only facade),
-* the per-query :class:`~repro.core.results.TopKResult` store,
+* the per-query top-k store (:class:`~repro.core.results.ResultStore`'s
+  heaps; the columnar engine swaps in the slot-addressed
+  :class:`~repro.core.results.ResultArena`),
 * the exponential decay model and its renormalization,
 * work counters (one cumulative processing timer, no per-event samples),
 * threshold-change propagation to whatever per-term structures a concrete
@@ -114,8 +116,9 @@ class StreamAlgorithm(abc.ABC):
         if query is None:
             raise UnknownQueryError(f"query {query_id} is not registered")
         self._unregister_structures(query)
-        self.store.unregister(query_id)
+        # Results first: the arena clears the row of a still-registered slot.
         self.results.remove_query(query_id)
+        self.store.unregister(query_id)
         if telemetry.enabled:
             telemetry.observe("query.unregister", time.perf_counter() - started)
             telemetry.incr("churn_ops")
@@ -239,12 +242,24 @@ class StreamAlgorithm(abc.ABC):
         self.counters.elapsed_seconds += elapsed
         if self.telemetry.enabled:
             self.telemetry.observe("engine.batch", elapsed)
-        return coalesce_updates(updates)
+        return updates
 
     def _process_batch_documents(
         self, documents: Sequence[Document], amplifications: Sequence[float]
+    ) -> List[BatchUpdate]:
+        """Refresh all query results for one batch of documents and return
+        the net change per query.
+
+        The default coalesces the sequential offers of
+        :meth:`_scan_documents`; the columnar engine overrides it with the
+        result arena, which computes the net changes directly.
+        """
+        return coalesce_updates(self._scan_documents(documents, amplifications))
+
+    def _scan_documents(
+        self, documents: Sequence[Document], amplifications: Sequence[float]
     ) -> List[ResultUpdate]:
-        """Refresh all query results for one batch of documents.
+        """Every accepted offer of one batch, in order.
 
         The default simply loops :meth:`_process_document`; algorithms with
         reusable traversal state override this with a true batched walk.
@@ -302,7 +317,7 @@ class StreamAlgorithm(abc.ABC):
 
     def top_k(self, query_id: QueryId) -> List[ResultEntry]:
         """The current top-k of a query, best first."""
-        return self.results.get(query_id).entries()
+        return self.results.entries(query_id)
 
     def threshold(self, query_id: QueryId) -> float:
         return self.results.threshold(query_id)

@@ -15,15 +15,22 @@ is a handful of array operations:
    skip test;
 3. surviving documents accumulate exact cosines into a dense
    ``documents x slots`` block, one fancy-indexed add per matched term;
-4. a single ``scores > thresholds`` mask selects candidates, which are
-   offered to the per-query heaps in arrival order.
+4. a single ``scores > thresholds`` mask selects candidates, which go to
+   the :class:`~repro.core.results.ResultArena` as one vectorized batch
+   offer: lock-step rounds, each offering every touched slot its next
+   candidate in arrival order with :class:`~repro.core.results.TopKResult`'s
+   exact acceptance and tie rules.  The offer writes each touched slot's
+   new ``S_k`` into the threshold column (the next chunk masks against
+   it) and, at the end of the batch, yields the per-query net
+   :class:`~repro.core.results.BatchUpdate` list directly — no
+   per-candidate Python, no coalescing pass.
 
-The slots are the :class:`~repro.queries.store.QueryStore`'s and the
-``S_k`` column the probe masks against is the store's threshold column,
-read and written here through a view.  :class:`StreamAlgorithm` already
-keeps that column current at every other event that moves a threshold
-(decay rebase, restore, window expiration), so this engine has no
-threshold hook of its own.
+The slots are the :class:`~repro.queries.store.QueryStore`'s — the arena's
+rows and the ``S_k`` column the probe masks against are addressed by them,
+the column read and written here through a view.  :class:`StreamAlgorithm`
+already keeps that column current at every other event that moves a
+threshold (decay rebase, restore, window expiration), so this engine has
+no threshold hook of its own.
 
 Float-summation order contract
 ------------------------------
@@ -55,11 +62,12 @@ copy of this one — is the oracle it is differentially tested against.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.base import StreamAlgorithm
 from repro.core.registry import register_algorithm
-from repro.core.results import ResultUpdate
+from repro.core.results import ArenaBatch, BatchUpdate, ResultArena, ResultUpdate
 from repro.documents.decay import ExponentialDecay
 from repro.documents.document import Document
 import numpy as np
@@ -70,6 +78,9 @@ from repro.queries.query import Query
 #: Upper bound on the dense accumulator size (documents x slots cells) of
 #: one probe chunk; ~16 MiB of float64.
 CELL_BUDGET = 1 << 21
+#: Chunks of at most this many cells sum into a dense block instead of
+#: sorting their (document, slot) pairs first — cheaper only while tiny.
+DENSE_CELLS = 1 << 12
 
 
 @register_algorithm("columnar")
@@ -87,6 +98,7 @@ class ColumnarAlgorithm(StreamAlgorithm):
 
     def __init__(self, decay: Optional[ExponentialDecay] = None) -> None:
         super().__init__(decay)
+        self.results = ResultArena(self.store)
         # Shares the engine's packed definition store: the index keeps only
         # per-term membership and joins slots and weights in at rebuild time.
         self.index = ColumnarQueryIndex(store=self.store)
@@ -113,8 +125,14 @@ class ColumnarAlgorithm(StreamAlgorithm):
 
     def _process_document(self, document: Document, amplification: float) -> List[ResultUpdate]:
         # One traversal implementation: the per-event path is the batched
-        # probe over a single document.
-        return self._process_batch_documents([document], [amplification])
+        # probe over a single document, whose one round of offers gives the
+        # per-offer updates.
+        return self._offer([document], [amplification]).result_updates()
+
+    def _process_batch_documents(
+        self, documents: Sequence[Document], amplifications: Sequence[float]
+    ) -> List[BatchUpdate]:
+        return self._offer(documents, amplifications).batch_updates()
 
     def _chunk_rows(self) -> int:
         # Keyed off the *live* query count, not the slot-table width:
@@ -123,23 +141,23 @@ class ColumnarAlgorithm(StreamAlgorithm):
         # not depend on how many free slots the table happens to carry.
         return max(1, CELL_BUDGET // max(1, self.num_queries))
 
-    def _process_batch_documents(
+    def _offer(
         self, documents: Sequence[Document], amplifications: Sequence[float]
-    ) -> List[ResultUpdate]:
-        updates: List[ResultUpdate] = []
+    ) -> ArenaBatch:
+        """Probe the batch and offer every candidate to the result arena."""
         store = self.store
         counters = self.counters
         counters.iterations += len(documents)
+        chunk_rows = self._chunk_rows()
+        batch = ArenaBatch(self.results, -(-len(documents) // chunk_rows))
         num_live = len(store)
         if num_live == 0:
-            return updates
-        # Views of the store's slot columns, taken afresh each call (a
-        # registration may have regrown them); free slots read -1 / +inf.
-        thresholds = store.thresholds_view()  # writable float64 view
-        slot_qids = store.qids_view()
+            return batch
+        # A view of the store's threshold column, taken afresh each call (a
+        # registration may have regrown it); free slots read +inf.  The
+        # arena writes it as it accepts offers.
+        thresholds = store.thresholds_view()
         size = store.capacity
-        results_get = self.results.get
-        chunk_rows = self._chunk_rows()
 
         term_keys, csr_starts, csr_ends, slot_col, weight_col, max_weights = (
             self.index.global_view()
@@ -159,19 +177,17 @@ class ColumnarAlgorithm(StreamAlgorithm):
             total = sum(counts)
             if total == 0:
                 continue
-            term_ids = np.empty(total, dtype=np.int64)
-            doc_weights = np.empty(total, dtype=np.float64)
+            term_ids = np.fromiter(
+                chain.from_iterable(document.vector.keys() for document in chunk),
+                dtype=np.int64,
+                count=total,
+            )
+            doc_weights = np.fromiter(
+                chain.from_iterable(document.vector.values() for document in chunk),
+                dtype=np.float64,
+                count=total,
+            )
             rows = np.repeat(np.arange(n_docs, dtype=np.int64), counts)
-            position = 0
-            for document, count in zip(chunk, counts):
-                vector = document.vector
-                term_ids[position : position + count] = np.fromiter(
-                    vector.keys(), dtype=np.int64, count=count
-                )
-                doc_weights[position : position + count] = np.fromiter(
-                    vector.values(), dtype=np.float64, count=count
-                )
-                position += count
             order = np.argsort(term_ids, kind="stable")
             term_ids = term_ids[order]
             doc_weights = doc_weights[order]
@@ -181,7 +197,8 @@ class ColumnarAlgorithm(StreamAlgorithm):
             if len(term_keys) == 0:
                 continue
             lookup = np.searchsorted(term_keys, term_ids)
-            lookup[lookup == len(term_keys)] = 0  # clamp; can't match below
+            # Clamp past-the-end lookups; they cannot match below.
+            np.minimum(lookup, len(term_keys) - 1, out=lookup)
             matched = term_keys[lookup] == term_ids
             if not matched.any():
                 continue
@@ -205,10 +222,11 @@ class ColumnarAlgorithm(StreamAlgorithm):
             counters.bound_computations += n_alive * num_live
             if n_alive == 0:
                 continue
-            keep = alive[m_rows]
-            m_lookup = m_lookup[keep]
-            m_rows = m_rows[keep]
-            m_weights = m_weights[keep]
+            if n_alive < n_docs:
+                keep = alive[m_rows]
+                m_lookup = m_lookup[keep]
+                m_rows = m_rows[keep]
+                m_weights = m_weights[keep]
 
             # Expand each surviving (document, term) posting into its term's
             # CSR span: pair i joins document-side weight m_weights[i] with
@@ -230,47 +248,35 @@ class ColumnarAlgorithm(StreamAlgorithm):
             # sort), and bincount accumulates each cell sequentially in
             # input order — the canonical summation, bit for bit.
             cells = pair_rows * size + slot_col[pair_positions]
-            unique_cells, inverse = np.unique(cells, return_inverse=True)
-            similarities = np.bincount(
-                inverse, weights=products, minlength=len(unique_cells)
-            )
+            if n_docs * size <= DENSE_CELLS:
+                # A tiny block: summing into every cell beats sorting the
+                # pairs.  Products are positive, so the touched cells are
+                # exactly the non-zero ones.
+                block = np.bincount(cells, weights=products, minlength=n_docs * size)
+                unique_cells = np.flatnonzero(block)
+                similarities = block[unique_cells]
+            else:
+                unique_cells, inverse = np.unique(cells, return_inverse=True)
+                similarities = np.bincount(
+                    inverse, weights=products, minlength=len(unique_cells)
+                )
             counters.full_evaluations += int(np.count_nonzero(similarities))
 
-            cell_rows = unique_cells // size
-            cell_slots = unique_cells % size
+            cell_rows, cell_slots = np.divmod(unique_cells, size)
             scores = similarities * amps[cell_rows]
             passing = scores > thresholds[cell_slots]
             if not passing.any():
                 continue
+            # Candidates come out in (row, slot) order: arrival order, which
+            # is all the arena's lock-step rounds need.
             cand_rows = cell_rows[passing]
-            cand_slots = cell_slots[passing]
-            cand_scores = scores[passing]
-            cand_qids = slot_qids[cand_slots]
-            # Offer in arrival order (row), query-id order within a
-            # document — the same sequence the scalar engines produce, and
-            # independent of slot-table layout.
-            offer_order = np.lexsort((cand_qids, cand_rows))
-            doc_ids = [document.doc_id for document in chunk]
-            for position in offer_order.tolist():
-                row = int(cand_rows[position])
-                column = int(cand_slots[position])
-                query_id = int(cand_qids[position])
-                score = float(cand_scores[position])
-                result = results_get(query_id)
-                accepted, evicted, threshold_changed = result.offer_tracked(
-                    doc_ids[row], score
-                )
-                if not accepted:
-                    continue
-                counters.result_updates += 1
-                updates.append(
-                    ResultUpdate(
-                        query_id=query_id,
-                        doc_id=doc_ids[row],
-                        score=score,
-                        evicted_doc_id=evicted,
-                    )
-                )
-                if threshold_changed:
-                    thresholds[column] = result.threshold
-        return updates
+            doc_ids = np.fromiter(
+                (document.doc_id for document in chunk), dtype=np.int64, count=n_docs
+            )
+            counters.result_updates += batch.offer(
+                cand_rows + start,
+                cell_slots[passing],
+                doc_ids[cand_rows],
+                scores[passing],
+            )
+        return batch

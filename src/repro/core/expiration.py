@@ -90,8 +90,8 @@ class ExpirationManager:
     def _reevaluate(self, query_id: QueryId) -> None:
         """Recompute a query's top-k over the live window from scratch."""
         query = self.algorithm.queries[query_id]
-        result = self.algorithm.results.get(query_id)
-        old_docs = {entry.doc_id for entry in result.entries()}
+        results = self.algorithm.results
+        old_docs = {entry.doc_id for entry in results.entries(query_id)}
 
         # Accumulate similarities over the live window, then amplify by each
         # document's own arrival time (the same score the stream path used).
@@ -110,10 +110,10 @@ class ExpirationManager:
             score = similarity * self.algorithm.decay.amplification(document.arrival_time)
             scored.append((doc_id, score))
         scored.sort(key=lambda item: (-item[1], item[0]))
-        result.replace_all(scored[: query.k])
+        results.replace(query_id, scored[: query.k])
 
         # Update the reverse map to reflect the new membership.
-        new_docs = {entry.doc_id for entry in result.entries()}
+        new_docs = {entry.doc_id for entry in results.entries(query_id)}
         for doc_id in old_docs - new_docs:
             self._release(doc_id, query_id)
         for doc_id in new_docs:
@@ -145,7 +145,7 @@ class ExpirationManager:
             self.doc_index.add(document)
         self._holders = {}
         for query_id in self.algorithm.queries:
-            for entry in self.algorithm.results.get(query_id).entries():
+            for entry in self.algorithm.results.entries(query_id):
                 self._holders.setdefault(entry.doc_id, set()).add(query_id)
 
     # ------------------------------------------------------------------ #

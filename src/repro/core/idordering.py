@@ -215,7 +215,7 @@ class ReverseIDOrderingBase(StreamAlgorithm):
         self._drive_cursors(document.doc_id, cursors, amplification, updates)
         return updates
 
-    def _process_batch_documents(
+    def _scan_documents(
         self, documents: Sequence[Document], amplifications: Sequence[float]
     ) -> List[ResultUpdate]:
         """Batched walk: reuse one cursor per term across the whole batch.

@@ -161,6 +161,7 @@ class QueryStore:
         "_free_slots",
         "_slot_map",
         "_users",
+        "max_k",
     )
 
     def __init__(self) -> None:
@@ -185,6 +186,8 @@ class QueryStore:
         self._slot_map = SlotMap()
         # Sparse side table: only queries with a non-None user label.
         self._users: Dict[QueryId, str] = {}
+        #: The largest ``k`` ever registered (the result arena's row width).
+        self.max_k = 0
 
     # ------------------------------------------------------------------ #
     # Membership
@@ -201,6 +204,10 @@ class QueryStore:
         if slot is None:
             raise UnknownQueryError(f"query {query_id} is not registered")
         return slot
+
+    def find_slot(self, query_id: QueryId) -> Optional[int]:
+        """:meth:`slot_of`, but ``None`` for an unregistered query."""
+        return self._slot_map.get(query_id)
 
     def query_ids(self) -> Iterator[QueryId]:
         """Live query ids in ascending slot order (deterministic for a
@@ -258,6 +265,8 @@ class QueryStore:
         self._slot_qids[slot] = query_id
         self._slot_thresholds[slot] = 0.0
         self._slot_map.set(query_id, slot)
+        if query.k > self.max_k:
+            self.max_k = query.k
         if query.user is not None:
             self._users[query_id] = query.user
         return slot
@@ -397,6 +406,13 @@ class QueryStore:
         column's ``min`` is the smallest live ``S_k``.
         """
         return self._slot_thresholds[: self.capacity]
+
+    def ks_at(self, slots: np.ndarray) -> np.ndarray:
+        """The ``k`` of each slot in ``slots`` (an int64 index array)."""
+        ks = self._slot_ks
+        # The temporary view releases its buffer export at once, so the
+        # array.array stays appendable.
+        return np.frombuffer(ks, dtype=f"i{ks.itemsize}")[slots]
 
     def set_threshold(self, query_id: QueryId, threshold: float) -> None:
         """Record the query's newly propagated ``S_k``."""

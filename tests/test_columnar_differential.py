@@ -177,6 +177,28 @@ class TestFullGridDifferential:
         assert chunked_counters == single_counters
         assert_threshold_column_matches_heaps(chunked)
 
+    @pytest.mark.parametrize("batch_size", [None, 16], ids=["per-event", "batch16"])
+    def test_dense_and_sorted_accumulation_agree(
+        self, monkeypatch, batch_size, small_queries, small_documents
+    ):
+        """Tiny chunks sum into a dense block, larger ones sort their pairs
+        first; forcing either path must not move a score bit or a counter."""
+        queries = small_queries[:60]
+
+        def run(dense_cells):
+            monkeypatch.setattr("repro.core.columnar.DENSE_CELLS", dense_cells)
+            algorithm = create_algorithm("columnar", ExponentialDecay(lam=LAM))
+            _drive(algorithm, queries, small_documents, batch_size)
+            counters = algorithm.counters.snapshot()
+            counters.pop("elapsed_seconds")
+            return algorithm, counters
+
+        dense, dense_counters = run(1 << 30)
+        sorted_, sorted_counters = run(0)
+        _assert_bitwise_equal(dense, sorted_, _live_queries(queries), label="dense-vs-sorted")
+        assert dense_counters == sorted_counters
+        assert dense.results.snapshot() == sorted_.results.snapshot()
+
 
 class TestSummationOrderContract:
     """The float-summation order contract: ascending term id, one IEEE add
