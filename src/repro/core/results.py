@@ -509,19 +509,16 @@ class ResultArena:
             self._scores[slot] = _EMPTY_SCORE
             self._doc_ids[slot] = _EMPTY_DOC
 
-    def _members(self, query_id: QueryId) -> Tuple[List[float], List[DocId]]:
+    def entries(self, query_id: QueryId) -> List[ResultEntry]:
+        """The query's current top-k, best first (ties towards lower doc id)."""
         slot = self._store.find_slot(query_id)
         if slot is None:
             raise UnknownQueryError(f"query {query_id} has no result store")
         if slot >= len(self._fill):
-            return [], []
+            return []
         count = int(self._fill[slot])
-        return self._scores[slot, :count].tolist(), self._doc_ids[slot, :count].tolist()
-
-    def entries(self, query_id: QueryId) -> List[ResultEntry]:
-        """The query's current top-k, best first (ties towards lower doc id)."""
-        scores, doc_ids = self._members(query_id)
-        ordered = sorted(zip(doc_ids, scores), key=lambda item: (-item[1], item[0]))
+        members = zip(self._doc_ids[slot, :count].tolist(), self._scores[slot, :count].tolist())
+        ordered = sorted(members, key=lambda item: (-item[1], item[0]))
         return [ResultEntry(doc_id, score) for doc_id, score in ordered]
 
     def threshold(self, query_id: QueryId) -> float:
