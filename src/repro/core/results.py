@@ -449,6 +449,10 @@ class ResultArena:
     Registration touches no arena memory: the columns are allocated, and
     grown to the store's slot-table width, at the first offer that needs
     a row past their end (:meth:`QueryStore.nbytes` does not count them).
+    Rows are as wide as the largest k among the registered queries, which
+    :data:`~repro.queries.query.MAX_K` bounds; :meth:`add_query` and
+    :meth:`remove_query` count the live queries per k, so the columns
+    narrow again at the next offer once the widest query has left.
     The columnar engine offers through :class:`ArenaBatch`; everything else
     reads and writes one query at a time through the interface
     :class:`ResultStore` shares.  The ``S_k`` of every row lives in the
@@ -457,13 +461,13 @@ class ResultArena:
     Example::
 
         arena = ResultArena(store)
-        batch = ArenaBatch(arena, chunks=1)
+        batch = ArenaBatch(arena, chunks=1, thresholds=store.thresholds_view())
         batch.offer(rows, slots, doc_ids, scores)
         updates = batch.batch_updates()
         arena.entries(query_id)          # best first
     """
 
-    __slots__ = ("_store", "_scores", "_doc_ids", "_fill", "_columns")
+    __slots__ = ("_store", "_scores", "_doc_ids", "_fill", "_columns", "_k_counts", "_width")
 
     def __init__(self, store) -> None:
         self._store = store
@@ -471,40 +475,62 @@ class ResultArena:
         self._doc_ids = np.full((0, 0), _EMPTY_DOC, dtype=np.int64)
         self._fill = np.zeros(0, dtype=np.int64)
         self._columns = np.arange(0)
+        #: Live queries per k, and the largest live k: the rows' width.
+        self._k_counts: Dict[int, int] = {}
+        self._width = 0
 
     def nbytes(self) -> int:
         """Bytes allocated for the columns (0 until the first offer)."""
         return self._scores.nbytes + self._doc_ids.nbytes + self._fill.nbytes
 
     def _reserve(self) -> None:
-        """Cover every slot of the store with rows as wide as its largest k."""
+        """Cover every slot of the store with rows as wide as the largest
+        live k — narrower again once the widest query has left.  Narrowing
+        keeps every member: a row's members fill its first ``fill <= k``
+        cells."""
         rows, columns = self._scores.shape
         slot_end = self._store.capacity
-        width = self._store.max_k
-        if slot_end <= rows and width <= columns:
+        width = self._width
+        if slot_end <= rows and width == columns:
             return
         rows_after = rows if slot_end <= rows else max(slot_end, 2 * rows)
-        columns_after = max(width, columns)
-        scores = np.full((rows_after, columns_after), _EMPTY_SCORE)
-        doc_ids = np.full((rows_after, columns_after), _EMPTY_DOC, dtype=np.int64)
+        kept = min(width, columns)
+        scores = np.full((rows_after, width), _EMPTY_SCORE)
+        doc_ids = np.full((rows_after, width), _EMPTY_DOC, dtype=np.int64)
         fill = np.zeros(rows_after, dtype=np.int64)
-        scores[:rows, :columns] = self._scores
-        doc_ids[:rows, :columns] = self._doc_ids
+        scores[:rows, :kept] = self._scores[:, :kept]
+        doc_ids[:rows, :kept] = self._doc_ids[:, :kept]
         fill[:rows] = self._fill
         self._scores, self._doc_ids, self._fill = scores, doc_ids, fill
-        self._columns = np.arange(columns_after)
+        self._columns = np.arange(width)
 
     # ------------------------------------------------------------------ #
     # The interface shared with ResultStore
     # ------------------------------------------------------------------ #
 
     def add_query(self, query: Query) -> None:
-        """Nothing to do: a never-offered row is empty by its fill count."""
+        """Count the query's k (a never-offered row is empty by its fill
+        count, so no column is touched)."""
+        k = query.k
+        self._k_counts[k] = self._k_counts.get(k, 0) + 1
+        if k > self._width:
+            self._width = k
 
     def remove_query(self, query_id: QueryId) -> None:
         """Empty the query's row; call while its slot is still registered."""
-        slot = self._store.find_slot(query_id)
-        if slot is not None and slot < len(self._fill):
+        store = self._store
+        slot = store.find_slot(query_id)
+        if slot is None:
+            return
+        k = store.k_of(query_id)
+        counts = self._k_counts
+        counts[k] -= 1
+        if counts[k] == 0:
+            del counts[k]
+            if k == self._width:
+                # The columns narrow at the next offer.
+                self._width = max(counts, default=0)
+        if slot < len(self._fill):
             self._fill[slot] = 0
             self._scores[slot] = _EMPTY_SCORE
             self._doc_ids[slot] = _EMPTY_DOC
@@ -631,16 +657,15 @@ class ResultArena:
             kept = np.flatnonzero(accept)
             slots, doc_ids, scores, ks = slots[kept], doc_ids[kept], scores[kept], ks[kept]
             counts, full, victim = counts[kept], full[kept], victim[kept]
-            row_scores, row_doc_ids = row_scores[kept], row_doc_ids[kept]
         position = np.where(full, victim, counts)
+        evicted = self._doc_ids[slots, position]
         self._scores[slots, position] = scores
         self._doc_ids[slots, position] = doc_ids
         counts += ~full
         fill[slots] = counts
-        lines = np.arange(len(slots))
-        row_scores[lines, position] = scores
-        thresholds[slots] = np.where(counts >= ks, np.minimum.reduce(row_scores, axis=1), 0.0)
-        return kept, full, row_doc_ids[lines, victim]
+        low = np.minimum.reduce(self._scores.take(slots, axis=0), axis=1)
+        thresholds[slots] = np.where(counts >= ks, low, 0.0)
+        return kept, full, evicted
 
 
 class ArenaBatch:
@@ -672,11 +697,12 @@ class ArenaBatch:
         "_touched",
     )
 
-    def __init__(self, arena: ResultArena, chunks: int) -> None:
+    def __init__(self, arena: ResultArena, chunks: int, thresholds: np.ndarray) -> None:
         self._arena = arena
-        #: The store's ``S_k`` column, read and written by every round (a
-        #: view: nothing registers while a batch is offered).
-        self._thresholds = arena._store.thresholds_view()
+        #: The store's ``S_k`` column (:meth:`QueryStore.thresholds_view`),
+        #: read and written by every round: nothing registers while a batch
+        #: is offered.
+        self._thresholds = thresholds
         #: Upper bound on the number of :meth:`offer` calls.
         self._chunks = chunks
         #: The one round's accepted offers, when the batch is one round.

@@ -9,6 +9,12 @@ from repro.exceptions import QueryError
 from repro.text.similarity import is_normalized
 from repro.types import QueryId, SparseVector
 
+#: The largest ``k`` a query may ask for.  Every engine keeps each query's
+#: k best documents in memory, and the columnar engine's result rows are as
+#: wide as the largest live k, so an unbounded k would let one query size
+#: every other query's storage.
+MAX_K = 1000
+
 
 @dataclass(frozen=True)
 class Query:
@@ -23,7 +29,7 @@ class Query:
     vector:
         L2-normalized sparse keyword vector (term id -> preference weight).
     k:
-        Number of documents the user wants to monitor.
+        Number of documents the user wants to monitor, 1 to :data:`MAX_K`.
     user:
         Optional opaque label of the issuing user (examples only).
     """
@@ -38,6 +44,8 @@ class Query:
             raise QueryError(f"query_id must be >= 0, got {self.query_id}")
         if self.k <= 0:
             raise QueryError(f"k must be > 0, got {self.k}")
+        if self.k > MAX_K:
+            raise QueryError(f"k must be at most {MAX_K}, got {self.k}")
         if not self.vector:
             raise QueryError(f"query {self.query_id} has an empty keyword vector")
         for term_id, weight in self.vector.items():

@@ -60,6 +60,7 @@ HEAP_COMPACT_DEAD_FRACTION = 0.5
 _ID_TYPECODE = "q"  # packed signed 64-bit
 _TID_TYPECODE = "l" if array("l").itemsize == 4 else "i"  # 32-bit dense tids
 _K_TYPECODE = _TID_TYPECODE
+_K_DTYPE = np.dtype(f"i{array(_K_TYPECODE).itemsize}")
 _WEIGHT_TYPECODE = "d"  # float64 — weights must round-trip bit-exactly
 _INF = float("inf")
 
@@ -161,7 +162,6 @@ class QueryStore:
         "_free_slots",
         "_slot_map",
         "_users",
-        "max_k",
     )
 
     def __init__(self) -> None:
@@ -186,8 +186,6 @@ class QueryStore:
         self._slot_map = SlotMap()
         # Sparse side table: only queries with a non-None user label.
         self._users: Dict[QueryId, str] = {}
-        #: The largest ``k`` ever registered (the result arena's row width).
-        self.max_k = 0
 
     # ------------------------------------------------------------------ #
     # Membership
@@ -265,8 +263,6 @@ class QueryStore:
         self._slot_qids[slot] = query_id
         self._slot_thresholds[slot] = 0.0
         self._slot_map.set(query_id, slot)
-        if query.k > self.max_k:
-            self.max_k = query.k
         if query.user is not None:
             self._users[query_id] = query.user
         return slot
@@ -409,10 +405,9 @@ class QueryStore:
 
     def ks_at(self, slots: np.ndarray) -> np.ndarray:
         """The ``k`` of each slot in ``slots`` (an int64 index array)."""
-        ks = self._slot_ks
         # The temporary view releases its buffer export at once, so the
         # array.array stays appendable.
-        return np.frombuffer(ks, dtype=f"i{ks.itemsize}")[slots]
+        return np.frombuffer(self._slot_ks, dtype=_K_DTYPE)[slots]
 
     def set_threshold(self, query_id: QueryId, threshold: float) -> None:
         """Record the query's newly propagated ``S_k``."""

@@ -14,7 +14,8 @@ from repro.core.results import (
     coalesce_updates,
 )
 from repro.documents.decay import ExponentialDecay
-from repro.exceptions import UnknownQueryError
+from repro.exceptions import QueryError, UnknownQueryError
+from repro.queries.query import MAX_K
 from repro.queries.store import QueryStore
 from tests.helpers import make_document, make_query
 
@@ -285,7 +286,7 @@ class TestResultArena:
             [c for c in candidates if start <= c[0] < start + chunk_rows]
             for start in range(0, n_rows, chunk_rows)
         ]
-        batch = ArenaBatch(arena, len(chunks))
+        batch = ArenaBatch(arena, len(chunks), store.thresholds_view())
         accepted = 0
         for chunk in chunks:
             if not chunk:
@@ -327,6 +328,31 @@ class TestResultArena:
         assert columnar.top_k(newcomer.query_id) == []
         assert columnar.threshold(newcomer.query_id) == 0.0
         assert columnar.results.snapshot().get(newcomer.query_id) is None
+
+    def test_rows_follow_the_largest_live_k(self):
+        """A k past MAX_K is refused before it reaches any store; one wide
+        query widens every row only while it is registered, and the rows
+        narrow again without losing a member."""
+        with pytest.raises(QueryError, match="at most"):
+            make_query(0, {3: 1.0}, k=10**7)
+        queries = [make_query(i, {3: 1.0, 4 + i: 1.0}, k=1 + i % 2) for i in range(6)]
+        wide = make_query(6, {3: 1.0}, k=MAX_K)
+        columnar = create_algorithm("columnar", ExponentialDecay(lam=0.0))
+        oracle = create_algorithm("mrio", ExponentialDecay(lam=0.0))
+        for algorithm in (columnar, oracle):
+            algorithm.register_all(queries + [wide])
+            algorithm.process_batch([make_document(1, {3: 1.0, 4: 0.5}, 1.0)])
+        rows = columnar.store.capacity
+        assert columnar.results.nbytes() == rows * (MAX_K * 16 + 8)
+
+        for algorithm in (columnar, oracle):
+            algorithm.unregister(wide.query_id)
+            algorithm.process_batch(
+                [make_document(2, {3: 0.5, 5: 1.0}, 2.0), make_document(3, {3: 2.0}, 3.0)]
+            )
+        assert columnar.results.nbytes() == rows * (2 * 16 + 8)
+        assert columnar.results.snapshot() == oracle.results.snapshot()
+        assert columnar.counters.result_updates == oracle.counters.result_updates
 
 
 def _bits(entries):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import QueryError
-from repro.queries.query import Query
+from repro.queries.query import MAX_K, Query
 from repro.text.similarity import l2_normalize
 
 
@@ -25,6 +25,11 @@ class TestQuery:
     def test_non_positive_k_rejected(self):
         with pytest.raises(QueryError):
             Query(query_id=0, vector={1: 1.0}, k=0)
+
+    def test_k_above_max_rejected(self):
+        Query(query_id=0, vector={1: 1.0}, k=MAX_K)
+        with pytest.raises(QueryError, match="at most"):
+            Query(query_id=0, vector={1: 1.0}, k=MAX_K + 1)
 
     def test_empty_vector_rejected(self):
         with pytest.raises(QueryError):

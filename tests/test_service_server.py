@@ -241,6 +241,26 @@ class TestIngestion:
 
         run(body())
 
+    def test_oversized_k_is_refused_and_the_engine_keeps_serving(self):
+        """A k past the query bound is answered with an error reply before
+        any engine storage is sized for it; later batches still work."""
+
+        async def body():
+            monitor = ContinuousMonitor(MonitorConfig(algorithm="columnar", lam=1e-4))
+            async with serve(monitor) as server:
+                client = await MonitorClient.connect(*server.address)
+                with pytest.raises(ServiceError, match="k must be at most"):
+                    await client._request("subscribe", t=[1], w=[1.0], k=10**7)
+                query_id = await client.subscribe({1: 1.0, 2: 1.0}, k=2)
+                await client.publish(doc(10, {1: 1.0}))
+                update = await client.next_update(timeout=10)
+                assert update.query_id == query_id
+                assert [entry.doc_id for entry in update.entries] == [10]
+                assert server.monitor.num_queries == 1
+                await client.close()
+
+        run(body())
+
     def test_unknown_op_gets_error_reply(self):
         async def scenario():
             async with serve() as server:
